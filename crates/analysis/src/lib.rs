@@ -36,7 +36,7 @@ pub mod depth_similarity;
 pub mod distributions;
 pub mod index;
 pub mod node_similarity;
-pub mod par;
+pub use wmtree_telemetry::par;
 pub mod partial;
 pub mod popularity;
 pub mod presence;

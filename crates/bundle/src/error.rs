@@ -50,6 +50,8 @@ pub enum BundleError {
         segment: String,
         /// One-based line number of the referencing record.
         line: usize,
+        /// Byte offset of the start of the referencing record.
+        offset: u64,
         /// The unresolvable content hash (hex).
         object: String,
     },
@@ -110,11 +112,12 @@ impl std::fmt::Display for BundleError {
             BundleError::DanglingObject {
                 segment,
                 line,
+                offset,
                 object,
             } => write!(
                 f,
-                "{segment} line {line}: visit references object {object} \
-                 which the object store never recorded"
+                "{segment} line {line} (byte offset {offset}): visit references \
+                 object {object} which the object store never recorded"
             ),
             BundleError::MetaMismatch {
                 field,

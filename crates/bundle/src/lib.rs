@@ -4,8 +4,9 @@
 //!
 //! - **Object store** — every [`wmtree_browser::VisitResult`] payload is
 //!   serialized canonically, content-addressed with a stable 64-bit
-//!   hash, and stored exactly once. Identical visit outcomes (common
-//!   for failure records and idle profiles) are deduplicated.
+//!   hash of those canonical bytes as stored, and stored exactly once.
+//!   Identical visit outcomes (common for failure records and idle
+//!   profiles) are deduplicated.
 //! - **Visit log** — an append-only sequence of small reference records
 //!   `(site, url, profile, object-hash)` plus per-site *checkpoint*
 //!   records, framed one per line with a checksum header.
@@ -19,11 +20,15 @@
 //! uncommitted bytes and continues appending — the resumed bundle is
 //! byte-identical to one written by an uninterrupted run.
 //!
-//! [`BundleReader`] streams records lazily (no full-database
-//! materialization) and verifies checksums as it goes; the first
-//! corruption surfaces as an error naming the segment, line, and byte
-//! offset. [`verify_bundle`] is the lenient whole-archive scan used by
-//! `wmtree-lint check-artifacts`.
+//! [`BundleReader`] plays a bundle back through one pipeline — frame
+//! each segment sequentially, decode records in bounded parallel
+//! batches, move each payload out on its last reference — verifying
+//! every checksum and every content address against the stored bytes;
+//! the first corruption surfaces as an error naming the segment, line,
+//! and byte offset. [`BundleWriter::resume`] verifies through the same
+//! pipeline. [`verify_bundle`] is the lenient whole-archive scan used
+//! by `wmtree-lint check-artifacts`; all three decode objects through
+//! the one [`decode_object`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,8 +46,10 @@ pub mod writer;
 pub use error::BundleError;
 pub use hash::bundle_content_hash;
 pub use manifest::{BundleMeta, Manifest, SegmentMeta, DEFAULT_SEGMENT_CAPACITY};
-pub use reader::{BundleReader, VisitIter};
-pub use record::{BundleVisit, Checkpoint, ObjectEntry, Record, VisitRef};
+pub use reader::BundleReader;
+pub use record::{
+    decode_object, decode_record, BundleVisit, Checkpoint, EncodedObject, Record, VisitRef,
+};
 pub use store::{BundleStore, BundleSummary};
 pub use verify::{verify_bundle, VerifyIssue, VerifyReport};
 pub use writer::{BundleWriter, ResumeState};

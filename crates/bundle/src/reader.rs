@@ -1,21 +1,48 @@
-//! [`BundleReader`] — lazy, verifying archive playback.
+//! [`BundleReader`] — verifying archive playback.
 //!
-//! The reader never materializes the whole database: visits stream out
-//! one record at a time. Object payloads are pulled from the object log
-//! on demand — the writer appends an object *before* the first record
-//! referencing it, so a single forward pass over both logs suffices,
-//! holding only the unique (deduplicated) payloads in memory.
+//! Playback runs every committed record through one pipeline, shared
+//! by [`BundleReader::read_visits`] and [`BundleWriter::resume`]:
+//!
+//! 1. **Frame.** Each segment is read sequentially by a [`LogStream`]:
+//!    line checksums, the per-segment chain the manifest pins, and the
+//!    `bundle.bytes.read` counter (span `bundle.read.frame`).
+//! 2. **Decode.** Framed records are decoded in bounded batches — at
+//!    most `DECODE_BATCH_BYTES` (16 MiB) of raw records in flight,
+//!    never a whole segment — through the workspace's slot-per-item
+//!    [`par_map_min`] (span `bundle.read.decode`). Objects go through
+//!    [`decode_object`], which verifies each content address against
+//!    the stored bytes.
+//! 3. **Move.** The small visit log is decoded first, so every
+//!    object's reference count is known before its payload is decoded.
+//!    Resolving visits in log order then moves each payload out on its
+//!    last reference instead of cloning it: the archive is held once.
+//!
+//! The first defect ends playback with an error naming its location.
+//! "First" is in log order — visit log, then object log, then dangling
+//! references — whatever the worker count or batch boundaries.
+//!
+//! [`BundleWriter::resume`]: crate::BundleWriter::resume
 
 use crate::error::BundleError;
-use crate::hash::{from_hex, object_hash, to_hex};
-use crate::manifest::Manifest;
-use crate::record::{BundleVisit, ObjectEntry, Record};
-use crate::segment::LogStream;
-use std::collections::BTreeMap;
+use crate::hash::from_hex;
+use crate::manifest::{Manifest, SegmentMeta};
+use crate::record::{decode_object, decode_record, BundleVisit, Record, VisitRef};
+use crate::segment::{LogStream, RecordLoc};
+use crate::writer::{OBJECTS_PREFIX, VISITS_PREFIX};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use wmtree_browser::VisitResult;
+use wmtree_telemetry::par::par_map_min;
 
-/// Streaming reader over a bundle directory.
+/// Raw record bytes one decode batch may hold. Bounds the reader's
+/// transient memory independently of segment size.
+const DECODE_BATCH_BYTES: usize = 16 << 20;
+
+/// Per-worker record floor of a decode batch: one object record is
+/// tens of kilobytes of JSON, so a handful already amortizes a spawn.
+const MIN_RECORDS_PER_WORKER: usize = 8;
+
+/// Verifying reader over a bundle directory.
 #[derive(Debug)]
 pub struct BundleReader {
     dir: PathBuf,
@@ -24,7 +51,7 @@ pub struct BundleReader {
 
 impl BundleReader {
     /// Open a bundle: load and version-check its manifest. Record
-    /// verification happens lazily as visits stream out.
+    /// verification happens in [`read_visits`](BundleReader::read_visits).
     pub fn open(dir: &Path) -> Result<BundleReader, BundleError> {
         let manifest = Manifest::load(dir)?;
         Ok(BundleReader {
@@ -38,131 +65,212 @@ impl BundleReader {
         &self.manifest
     }
 
-    /// Stream every checkpointed visit, in log (site-checkpoint) order.
-    /// Each record is checksum-verified as it is read; the first
-    /// corruption ends the stream with an error naming its location.
-    pub fn visits(&self) -> VisitIter {
-        VisitIter {
-            records: LogStream::open(&self.dir, &self.manifest.visit_segments),
-            objects: LogStream::open(&self.dir, &self.manifest.object_segments),
-            cache: BTreeMap::new(),
-            done: false,
-        }
+    /// Verify every committed record and resolve every checkpointed
+    /// visit, in log order, decoding on up to `workers` threads. The
+    /// result is identical for any worker count — including which
+    /// error is reported when the archive holds several defects.
+    pub fn read_visits(&self, workers: usize) -> Result<Vec<BundleVisit>, BundleError> {
+        Ok(play(&self.dir, &self.manifest, workers)?.visits)
     }
 }
 
-/// Iterator over the visits of a bundle. Fuses after the first error.
+/// Everything a verified playback of a bundle's committed records
+/// yields.
 #[derive(Debug)]
-pub struct VisitIter {
-    records: LogStream,
-    objects: LogStream,
-    cache: BTreeMap<u64, VisitResult>,
-    done: bool,
+pub(crate) struct Playback {
+    /// Every checkpointed visit, payload resolved, in log order.
+    pub(crate) visits: Vec<BundleVisit>,
+    /// Checkpointed sites.
+    pub(crate) sites: BTreeSet<String>,
+    /// Content addresses of every stored object (the dedup index).
+    pub(crate) objects: BTreeSet<u64>,
+    /// Committed byte length of each visit-log segment.
+    pub(crate) visit_bytes: Vec<u64>,
+    /// Committed byte length of each object-log segment.
+    pub(crate) object_bytes: Vec<u64>,
 }
 
-impl VisitIter {
-    /// Pull object entries until `hash` is cached (the writer stores an
-    /// object before its first reference, so forward reading finds it).
-    fn resolve(
-        &mut self,
-        hash: u64,
-        hex: &str,
-        segment: &str,
-        line: usize,
-    ) -> Result<VisitResult, BundleError> {
-        while !self.cache.contains_key(&hash) {
-            let Some(next) = self.objects.next_record() else {
-                return Err(BundleError::DanglingObject {
-                    segment: segment.to_string(),
-                    line,
-                    object: hex.to_string(),
-                });
-            };
-            let (loc, payload) = next?;
-            let entry: ObjectEntry = serde_json::from_str(&payload)
-                .map_err(|e| BundleError::json(format!("{}:{}", loc.segment, loc.line), e))?;
-            let corrupt = |detail: String| BundleError::Corrupt {
-                segment: loc.segment.clone(),
+/// Play back the records `manifest` commits. See the module docs.
+pub(crate) fn play(
+    dir: &Path,
+    manifest: &Manifest,
+    workers: usize,
+) -> Result<Playback, BundleError> {
+    // Visit log: references plus checkpoint structure. The committed
+    // region ends at a checkpoint — the manifest is only ever stored
+    // right after one.
+    let n_profiles = manifest.meta.n_profiles;
+    let mut refs: Vec<(RecordLoc, VisitRef, u64)> = Vec::new();
+    let mut sites = BTreeSet::new();
+    let mut checkpoints: u64 = 0;
+    let mut since_checkpoint: u64 = 0;
+    let visit_bytes = decode_log(
+        dir,
+        &manifest.visit_segments,
+        workers,
+        decode_record,
+        |loc, record| {
+            match record {
+                Record::Visit(vr) => {
+                    if vr.profile >= n_profiles {
+                        return Err(loc.corrupt(format!(
+                            "profile index {} out of range (bundle has {n_profiles} profiles)",
+                            vr.profile
+                        )));
+                    }
+                    let hash = from_hex(&vr.object).ok_or_else(|| {
+                        loc.corrupt(format!("malformed object hash `{}`", vr.object))
+                    })?;
+                    refs.push((loc, vr, hash));
+                    since_checkpoint += 1;
+                }
+                Record::Checkpoint(cp) => {
+                    sites.insert(cp.site);
+                    checkpoints += 1;
+                    since_checkpoint = 0;
+                }
+            }
+            Ok(())
+        },
+    )?;
+    if since_checkpoint > 0 {
+        return Err(BundleError::ManifestMismatch {
+            segment: VISITS_PREFIX.to_string(),
+            detail: format!(
+                "{since_checkpoint} committed visit record(s) after the last checkpoint"
+            ),
+        });
+    }
+    let visit_records = refs.len() as u64;
+    if checkpoints != manifest.checkpoints || visit_records != manifest.visit_records {
+        return Err(BundleError::ManifestMismatch {
+            segment: VISITS_PREFIX.to_string(),
+            detail: format!(
+                "manifest declares {} checkpoint(s) / {} visit record(s), \
+                 log holds {checkpoints} / {visit_records}",
+                manifest.checkpoints, manifest.visit_records
+            ),
+        });
+    }
+
+    // Object log: every object is verified; only referenced payloads
+    // are kept.
+    let mut uses: BTreeMap<u64, usize> = BTreeMap::new();
+    for (_, _, hash) in &refs {
+        *uses.entry(*hash).or_default() += 1;
+    }
+    let mut objects = BTreeSet::new();
+    let mut payloads: BTreeMap<u64, VisitResult> = BTreeMap::new();
+    let object_bytes = decode_log(
+        dir,
+        &manifest.object_segments,
+        workers,
+        decode_object,
+        |_, (hash, visit)| {
+            objects.insert(hash);
+            if uses.contains_key(&hash) {
+                payloads.insert(hash, visit);
+            }
+            Ok(())
+        },
+    )?;
+    if objects.len() as u64 != manifest.objects {
+        return Err(BundleError::ManifestMismatch {
+            segment: OBJECTS_PREFIX.to_string(),
+            detail: format!(
+                "manifest declares {} unique objects, store holds {}",
+                manifest.objects,
+                objects.len()
+            ),
+        });
+    }
+
+    // Resolve in log order, moving each payload on its last reference.
+    let mut visits = Vec::with_capacity(refs.len());
+    for (loc, vr, hash) in refs {
+        let left = uses.entry(hash).or_default();
+        *left = left.saturating_sub(1);
+        let visit = if *left == 0 {
+            payloads.remove(&hash)
+        } else {
+            payloads.get(&hash).cloned()
+        };
+        let Some(visit) = visit else {
+            return Err(BundleError::DanglingObject {
+                segment: loc.segment,
                 line: loc.line,
                 offset: loc.offset,
-                detail,
-            };
-            let stored = from_hex(&entry.hash)
-                .ok_or_else(|| corrupt(format!("malformed object hash `{}`", entry.hash)))?;
-            let canonical = serde_json::to_string(&entry.visit)
-                .map_err(|e| BundleError::json("re-serializing object payload", e))?;
-            let actual = object_hash(canonical.as_bytes());
-            if actual != stored {
-                return Err(corrupt(format!(
-                    "content address mismatch: entry says {}, payload hashes to {}",
-                    entry.hash,
-                    to_hex(actual)
-                )));
-            }
-            self.cache.insert(stored, entry.visit);
-        }
-        // Present by the loop condition.
-        match self.cache.get(&hash) {
-            Some(v) => Ok(v.clone()),
-            None => unreachable!("loop above caches the hash"),
-        }
+                object: vr.object,
+            });
+        };
+        visits.push(BundleVisit {
+            site: vr.site,
+            url: vr.url,
+            profile: vr.profile,
+            object: hash,
+            visit,
+        });
     }
-
-    fn next_inner(&mut self) -> Option<Result<BundleVisit, BundleError>> {
-        loop {
-            let (loc, payload) = match self.records.next_record()? {
-                Ok(rec) => rec,
-                Err(e) => return Some(Err(e)),
-            };
-            let record: Record = match serde_json::from_str(&payload) {
-                Ok(r) => r,
-                Err(e) => {
-                    return Some(Err(BundleError::json(
-                        format!("{}:{}", loc.segment, loc.line),
-                        e,
-                    )))
-                }
-            };
-            match record {
-                Record::Checkpoint(_) => continue,
-                Record::Visit(vr) => {
-                    let Some(hash) = from_hex(&vr.object) else {
-                        return Some(Err(BundleError::Corrupt {
-                            segment: loc.segment,
-                            line: loc.line,
-                            offset: loc.offset,
-                            detail: format!("malformed object hash `{}`", vr.object),
-                        }));
-                    };
-                    let visit = match self.resolve(hash, &vr.object, &loc.segment, loc.line) {
-                        Ok(v) => v,
-                        Err(e) => return Some(Err(e)),
-                    };
-                    return Some(Ok(BundleVisit {
-                        site: vr.site,
-                        url: vr.url,
-                        profile: vr.profile,
-                        object: hash,
-                        visit,
-                    }));
-                }
-            }
-        }
-    }
+    Ok(Playback {
+        visits,
+        sites,
+        objects,
+        visit_bytes,
+        object_bytes,
+    })
 }
 
-impl Iterator for VisitIter {
-    type Item = Result<BundleVisit, BundleError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
+/// Frame the log `metas` describes sequentially and decode its records
+/// in parallel batches of at most [`DECODE_BATCH_BYTES`], feeding each
+/// decoded record to `sink` in log order. A framing defect is reported
+/// only after the records framed before it decode cleanly, so the
+/// first error in log order wins. Returns each segment's committed
+/// byte length.
+fn decode_log<T: Send>(
+    dir: &Path,
+    metas: &[SegmentMeta],
+    workers: usize,
+    decode: impl Fn(&RecordLoc, &str) -> Result<T, BundleError> + Sync,
+    mut sink: impl FnMut(RecordLoc, T) -> Result<(), BundleError>,
+) -> Result<Vec<u64>, BundleError> {
+    let mut stream = LogStream::open(dir, metas);
+    loop {
+        let mut batch: Vec<(RecordLoc, String)> = Vec::new();
+        let mut bytes = 0usize;
+        let mut end = None;
+        {
+            let _span = wmtree_telemetry::span("bundle.read.frame");
+            while bytes < DECODE_BATCH_BYTES {
+                match stream.next_record() {
+                    Some(Ok(record)) => {
+                        bytes += record.1.len();
+                        batch.push(record);
+                    }
+                    Some(Err(e)) => {
+                        end = Some(Err(e));
+                        break;
+                    }
+                    None => {
+                        end = Some(Ok(()));
+                        break;
+                    }
+                }
+            }
         }
-        let item = self.next_inner();
-        if matches!(item, None | Some(Err(_))) {
-            self.done = true;
+        let decoded = {
+            let _span = wmtree_telemetry::span("bundle.read.decode");
+            par_map_min(&batch, workers, MIN_RECORDS_PER_WORKER, |(loc, payload)| {
+                decode(loc, payload)
+            })
+        };
+        for ((loc, _), item) in batch.into_iter().zip(decoded) {
+            sink(loc, item?)?;
         }
-        item
+        match end {
+            None => {}
+            Some(Ok(())) => return Ok(stream.committed().to_vec()),
+            Some(Err(e)) => return Err(e),
+        }
     }
 }
 
@@ -212,7 +320,7 @@ mod tests {
 
         let reader = BundleReader::open(&dir).unwrap();
         assert!(reader.manifest().complete);
-        let all: Vec<BundleVisit> = reader.visits().map(|r| r.unwrap()).collect();
+        let all = reader.read_visits(2).unwrap();
         assert_eq!(all.len(), 3);
         assert_eq!(all[0].site, "a.com");
         assert_eq!(all[0].profile, 0);
@@ -223,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_visit_record_surfaces_location_and_fuses() {
+    fn corrupt_visit_record_surfaces_location() {
         let dir = tmp("corrupt");
         let mut w = BundleWriter::create(&dir, meta()).unwrap();
         let v = visit(1);
@@ -236,9 +344,10 @@ mod tests {
         bytes[20] ^= 1;
         std::fs::write(&seg, &bytes).unwrap();
 
-        let reader = BundleReader::open(&dir).unwrap();
-        let mut it = reader.visits();
-        let err = it.next().unwrap().unwrap_err();
+        let err = BundleReader::open(&dir)
+            .unwrap()
+            .read_visits(1)
+            .unwrap_err();
         match err {
             BundleError::Corrupt {
                 segment,
@@ -252,7 +361,6 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other}"),
         }
-        assert!(it.next().is_none(), "iterator fuses after an error");
     }
 
     #[test]
@@ -270,8 +378,10 @@ mod tests {
         manifest.objects = 0;
         manifest.store(&dir).unwrap();
 
-        let reader = BundleReader::open(&dir).unwrap();
-        let err = reader.visits().next().unwrap().unwrap_err();
+        let err = BundleReader::open(&dir)
+            .unwrap()
+            .read_visits(1)
+            .unwrap_err();
         assert!(matches!(err, BundleError::DanglingObject { .. }), "{err}");
     }
 }

@@ -43,6 +43,18 @@ pub struct RecordLoc {
     pub offset: u64,
 }
 
+impl RecordLoc {
+    /// A [`BundleError::Corrupt`] located at this record.
+    pub fn corrupt(&self, detail: impl Into<String>) -> BundleError {
+        BundleError::Corrupt {
+            segment: self.segment.clone(),
+            line: self.line,
+            offset: self.offset,
+            detail: detail.into(),
+        }
+    }
+}
+
 /// Split a raw line into `(checksum, payload)`, without verifying.
 /// Returns a static description of the framing defect on failure.
 pub fn split_line(line: &str) -> Result<(u64, &str), &'static str> {
@@ -180,9 +192,14 @@ impl LogWriter {
     }
 }
 
+/// Read-buffer size of a [`LogStream`]: object records run to tens of
+/// kilobytes, far past `BufReader`'s 8 KiB default.
+const READ_BUFFER: usize = 1 << 20;
+
 /// Fail-fast streaming reader over a segment log, consuming exactly the
 /// records the manifest declares and verifying line checksums and the
-/// per-segment chain along the way.
+/// per-segment chain along the way — the framing stage of every read
+/// path (bundle playback, bundle resume, tree-cache open).
 #[derive(Debug)]
 pub struct LogStream {
     dir: PathBuf,
@@ -193,6 +210,8 @@ pub struct LogStream {
     offset: u64,
     records_left: u64,
     chain: u64,
+    /// Committed byte length of every fully verified segment.
+    committed: Vec<u64>,
 }
 
 impl LogStream {
@@ -207,7 +226,15 @@ impl LogStream {
             offset: 0,
             records_left: metas.first().map(|m| m.records).unwrap_or(0),
             chain: chain_start(),
+            committed: Vec::with_capacity(metas.len()),
         }
+    }
+
+    /// The committed byte length of each segment verified so far (all
+    /// of them once [`next_record`](LogStream::next_record) has
+    /// returned `None`) — what [`truncate_log`] cuts the files back to.
+    pub fn committed(&self) -> &[u64] {
+        &self.committed
     }
 
     /// The next record payload with its location, or `None` when every
@@ -231,6 +258,7 @@ impl LogStream {
                     self.seg_idx = self.metas.len(); // fuse
                     return Some(Err(BundleError::ManifestMismatch { segment, detail }));
                 }
+                self.committed.push(self.offset);
                 self.seg_idx += 1;
                 self.reader = None;
                 self.line_no = 0;
@@ -243,7 +271,7 @@ impl LogStream {
             if self.reader.is_none() {
                 let path = self.dir.join(&meta.name);
                 match File::open(&path) {
-                    Ok(f) => self.reader = Some(BufReader::new(f)),
+                    Ok(f) => self.reader = Some(BufReader::with_capacity(READ_BUFFER, f)),
                     Err(e) => {
                         self.seg_idx = self.metas.len();
                         return Some(Err(BundleError::io(path, e)));
@@ -310,72 +338,37 @@ pub fn verify_and_truncate(
     metas: &[SegmentMeta],
     mut on_record: impl FnMut(RecordLoc, &str) -> Result<(), BundleError>,
 ) -> Result<(), BundleError> {
-    for meta in metas {
+    let mut stream = LogStream::open(dir, metas);
+    while let Some(record) = stream.next_record() {
+        let (loc, payload) = record?;
+        on_record(loc, &payload)?;
+    }
+    truncate_log(dir, prefix, metas, stream.committed())
+}
+
+/// Cut each segment of a verified log back to its `committed` byte
+/// length (as a drained [`LogStream`] reports it) and delete stray
+/// segments past the manifest-covered set (a rotation a crash left
+/// uncommitted).
+pub fn truncate_log(
+    dir: &Path,
+    prefix: &str,
+    metas: &[SegmentMeta],
+    committed: &[u64],
+) -> Result<(), BundleError> {
+    for (meta, &len) in metas.iter().zip(committed) {
         let path = dir.join(&meta.name);
-        let file = File::open(&path).map_err(|e| BundleError::io(&path, e))?;
-        let mut reader = BufReader::new(file);
-        let mut consumed: u64 = 0;
-        let mut chain = chain_start();
-        for line_no in 1..=meta.records {
-            let mut buf = Vec::new();
-            let read = reader
-                .read_until(b'\n', &mut buf)
-                .map_err(|e| BundleError::io(&path, e))?;
-            if read == 0 {
-                return Err(BundleError::ManifestMismatch {
-                    segment: meta.name.clone(),
-                    detail: format!(
-                        "file ends after {} record(s), manifest declares {}",
-                        line_no - 1,
-                        meta.records
-                    ),
-                });
-            }
-            let loc = RecordLoc {
-                segment: meta.name.clone(),
-                line: line_no as usize,
-                offset: consumed,
-            };
-            let payload =
-                decode_line(&buf)
-                    .and_then(verify_line)
-                    .map_err(|detail| BundleError::Corrupt {
-                        segment: loc.segment.clone(),
-                        line: loc.line,
-                        offset: loc.offset,
-                        detail,
-                    })?;
-            wmtree_telemetry::counter!("bundle.bytes.read").add(read as u64);
-            let trimmed = buf.strip_suffix(b"\n").unwrap_or(&buf);
-            chain = chain_fold(chain, trimmed);
-            on_record(loc, payload)?;
-            consumed += read as u64;
-        }
-        if to_hex(chain) != meta.chain {
-            return Err(BundleError::ManifestMismatch {
-                segment: meta.name.clone(),
-                detail: format!(
-                    "segment chain is {}, manifest declares {}",
-                    to_hex(chain),
-                    meta.chain
-                ),
-            });
-        }
-        drop(reader);
-        let len = std::fs::metadata(&path)
+        let on_disk = std::fs::metadata(&path)
             .map_err(|e| BundleError::io(&path, e))?
             .len();
-        if len > consumed {
+        if on_disk > len {
             let file = OpenOptions::new()
                 .write(true)
                 .open(&path)
                 .map_err(|e| BundleError::io(&path, e))?;
-            file.set_len(consumed)
-                .map_err(|e| BundleError::io(&path, e))?;
+            file.set_len(len).map_err(|e| BundleError::io(&path, e))?;
         }
     }
-    // Remove stray segments past the manifest-covered set (partial
-    // rotation during a crash).
     let mut idx = metas.len();
     loop {
         let path = dir.join(segment_name(prefix, idx));

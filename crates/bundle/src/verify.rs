@@ -7,10 +7,10 @@
 //! byte does not hide an unrelated dangling reference further on.
 
 use crate::error::BundleError;
-use crate::hash::{chain_fold, chain_start, from_hex, object_hash, to_hex};
+use crate::hash::{chain_fold, chain_start, from_hex, to_hex};
 use crate::manifest::{Manifest, SegmentMeta};
-use crate::record::{ObjectEntry, Record};
-use crate::segment::{decode_line, verify_line};
+use crate::record::{decode_object, decode_record, Record};
+use crate::segment::{decode_line, verify_line, RecordLoc};
 use crate::writer::{OBJECTS_PREFIX, VISITS_PREFIX};
 use std::collections::BTreeSet;
 use std::io::BufRead;
@@ -44,6 +44,8 @@ pub enum VerifyIssue {
         segment: String,
         /// One-based line number of the referencing record.
         line: usize,
+        /// Byte offset of the referencing record start.
+        offset: u64,
         /// The unresolvable content hash (hex).
         object: String,
     },
@@ -88,10 +90,11 @@ impl std::fmt::Display for VerifyIssue {
             VerifyIssue::DanglingObject {
                 segment,
                 line,
+                offset,
                 object,
             } => write!(
                 f,
-                "{segment} line {line}: dangling object reference {object}"
+                "{segment} line {line} (byte offset {offset}): dangling object reference {object}"
             ),
             VerifyIssue::OrphanObject { object } => {
                 write!(f, "object {object} is stored but never referenced")
@@ -144,14 +147,38 @@ impl VerifyReport {
     }
 }
 
-/// Lenient scan of one segment log. Feeds each parseable payload (even
-/// after earlier corrupt lines) to `on_payload` with its one-based line
-/// number and segment name.
+impl VerifyIssue {
+    /// The issue a located record defect from the shared decoders
+    /// ([`decode_object`], [`decode_record`]) stands for.
+    fn corrupt(e: BundleError) -> VerifyIssue {
+        match e {
+            BundleError::Corrupt {
+                segment,
+                line,
+                offset,
+                detail,
+            } => VerifyIssue::Corrupt {
+                segment,
+                line,
+                offset,
+                detail,
+            },
+            other => VerifyIssue::ManifestMismatch {
+                segment: String::new(),
+                detail: other.to_string(),
+            },
+        }
+    }
+}
+
+/// Lenient scan of one segment log. Feeds each checksum-clean payload
+/// (even after earlier corrupt lines) to `on_payload` with its
+/// location.
 fn scan_log(
     dir: &Path,
     metas: &[SegmentMeta],
     issues: &mut Vec<VerifyIssue>,
-    mut on_payload: impl FnMut(&SegmentMeta, usize, &str, &mut Vec<VerifyIssue>),
+    mut on_payload: impl FnMut(RecordLoc, &str, &mut Vec<VerifyIssue>),
 ) -> Result<(), BundleError> {
     for meta in metas {
         let path = dir.join(&meta.name);
@@ -180,12 +207,17 @@ fn scan_log(
             wmtree_telemetry::counter!("bundle.bytes.read").add(read as u64);
             let trimmed = buf.strip_suffix(b"\n").unwrap_or(&buf);
             chain = chain_fold(chain, trimmed);
+            let loc = RecordLoc {
+                segment: meta.name.clone(),
+                line: line_no,
+                offset,
+            };
             match decode_line(&buf).and_then(verify_line) {
-                Ok(payload) => on_payload(meta, line_no, payload, issues),
+                Ok(payload) => on_payload(loc, payload, issues),
                 Err(detail) => issues.push(VerifyIssue::Corrupt {
-                    segment: meta.name.clone(),
-                    line: line_no,
-                    offset,
+                    segment: loc.segment,
+                    line: loc.line,
+                    offset: loc.offset,
                     detail,
                 }),
             }
@@ -222,9 +254,7 @@ fn scan_log(
 /// structure, and count agreement. I/O failures (unreadable files) are
 /// `Err`; every *integrity* defect lands in the report.
 pub fn verify_bundle(dir: &Path) -> Result<VerifyReport, BundleError> {
-    // Scope guard only: the span's clock reads stay inside telemetry's
-    // own snapshot and never enter the report bytes.
-    let _span = wmtree_telemetry::span("bundle.verify"); // wmtree-lint: allow(WM0301)
+    let _span = wmtree_telemetry::span("bundle.verify");
     let manifest = Manifest::load(dir)?;
     let mut report = VerifyReport {
         complete: manifest.complete,
@@ -241,63 +271,16 @@ pub fn verify_bundle(dir: &Path) -> Result<VerifyReport, BundleError> {
         dir,
         &manifest.object_segments,
         &mut issues,
-        |meta, line, payload, issues| {
-            let entry: ObjectEntry = match serde_json::from_str(payload) {
-                Ok(e) => e,
-                Err(e) => {
-                    issues.push(VerifyIssue::Corrupt {
-                        segment: meta.name.clone(),
-                        line,
-                        offset: 0,
-                        detail: format!("unparseable object entry: {e}"),
-                    });
-                    return;
-                }
-            };
-            let Some(hash) = from_hex(&entry.hash) else {
-                issues.push(VerifyIssue::Corrupt {
-                    segment: meta.name.clone(),
-                    line,
-                    offset: 0,
-                    detail: format!("malformed object hash `{}`", entry.hash),
-                });
-                return;
-            };
-            match serde_json::to_string(&entry.visit) {
-                Ok(canonical) => {
-                    let actual = object_hash(canonical.as_bytes());
-                    if actual != hash {
-                        issues.push(VerifyIssue::Corrupt {
-                            segment: meta.name.clone(),
-                            line,
-                            offset: 0,
-                            detail: format!(
-                                "content address mismatch: entry says {}, payload hashes to {}",
-                                entry.hash,
-                                to_hex(actual)
-                            ),
-                        });
-                        return;
-                    }
-                }
-                Err(e) => {
-                    issues.push(VerifyIssue::Corrupt {
-                        segment: meta.name.clone(),
-                        line,
-                        offset: 0,
-                        detail: format!("payload does not re-serialize: {e}"),
-                    });
-                    return;
+        |loc, payload, issues| match decode_object(&loc, payload) {
+            Ok((hash, _)) => {
+                if !stored.insert(hash) {
+                    issues.push(VerifyIssue::corrupt(loc.corrupt(format!(
+                        "duplicate object {} defeats content addressing",
+                        to_hex(hash)
+                    ))));
                 }
             }
-            if !stored.insert(hash) {
-                issues.push(VerifyIssue::Corrupt {
-                    segment: meta.name.clone(),
-                    line,
-                    offset: 0,
-                    detail: format!("duplicate object {} defeats content addressing", entry.hash),
-                });
-            }
+            Err(e) => issues.push(VerifyIssue::corrupt(e)),
         },
     )?;
     report.objects = stored.len() as u64;
@@ -312,16 +295,11 @@ pub fn verify_bundle(dir: &Path) -> Result<VerifyReport, BundleError> {
         dir,
         &manifest.visit_segments,
         &mut issues,
-        |meta, line, payload, issues| {
-            let record: Record = match serde_json::from_str(payload) {
+        |loc, payload, issues| {
+            let record = match decode_record(&loc, payload) {
                 Ok(r) => r,
                 Err(e) => {
-                    issues.push(VerifyIssue::Corrupt {
-                        segment: meta.name.clone(),
-                        line,
-                        offset: 0,
-                        detail: format!("unparseable record: {e}"),
-                    });
+                    issues.push(VerifyIssue::corrupt(e));
                     return;
                 }
             };
@@ -331,8 +309,8 @@ pub fn verify_bundle(dir: &Path) -> Result<VerifyReport, BundleError> {
                     pending_since_checkpoint += 1;
                     if vr.profile >= n_profiles {
                         issues.push(VerifyIssue::ProfileOutOfRange {
-                            segment: meta.name.clone(),
-                            line,
+                            segment: loc.segment.clone(),
+                            line: loc.line,
                             profile: vr.profile,
                         });
                     }
@@ -342,18 +320,16 @@ pub fn verify_bundle(dir: &Path) -> Result<VerifyReport, BundleError> {
                                 referenced.insert(hash);
                             } else {
                                 issues.push(VerifyIssue::DanglingObject {
-                                    segment: meta.name.clone(),
-                                    line,
+                                    segment: loc.segment,
+                                    line: loc.line,
+                                    offset: loc.offset,
                                     object: vr.object,
                                 });
                             }
                         }
-                        None => issues.push(VerifyIssue::Corrupt {
-                            segment: meta.name.clone(),
-                            line,
-                            offset: 0,
-                            detail: format!("malformed object hash `{}`", vr.object),
-                        }),
+                        None => issues.push(VerifyIssue::corrupt(
+                            loc.corrupt(format!("malformed object hash `{}`", vr.object)),
+                        )),
                     }
                 }
                 Record::Checkpoint(_) => {
@@ -495,24 +471,13 @@ mod tests {
     #[test]
     fn orphan_object_detected() {
         let dir = tmp("orphan");
-        // Two distinct payloads on one page → two objects; then drop
-        // the record referencing the second by rewriting the manifest's
-        // visit log to cover only the first record... simpler: write a
-        // bundle whose second visit is never committed. Instead, craft
-        // the orphan directly: record one extra object via a second
-        // writer-level site append that never checkpoints is not
-        // possible through the API, so tamper: append an object entry
-        // by hand with correct framing and bump the manifest.
+        // The writer never stores an unreferenced object, so append a
+        // correctly framed object entry by hand and bump the manifest.
         write_small(&dir, true);
         let mut manifest = Manifest::load(&dir).unwrap();
-        let v = visit(99);
-        let canonical = serde_json::to_string(&v).unwrap();
-        let h = object_hash(canonical.as_bytes());
-        let entry = serde_json::to_string(&ObjectEntry {
-            hash: to_hex(h),
-            visit: v,
-        })
-        .unwrap();
+        let entry = crate::record::EncodedObject::encode(&visit(99))
+            .unwrap()
+            .entry;
         let line = format!(
             "{} {entry}",
             to_hex(crate::hash::line_checksum(entry.as_bytes()))

@@ -9,16 +9,21 @@
 //! 4. flush both logs and atomically rewrite the manifest.
 //!
 //! A crash between checkpoints leaves trailing bytes the manifest does
-//! not cover; [`BundleWriter::resume`] verifies the covered prefix,
-//! truncates the leftovers, and continues appending — producing final
-//! files byte-identical to an uninterrupted run.
+//! not cover; [`BundleWriter::resume`] verifies the covered prefix
+//! through the reader's playback pipeline, truncates the leftovers, and
+//! continues appending — producing final files byte-identical to an
+//! uninterrupted run.
+//!
+//! Payloads arrive pre-encoded ([`EncodedObject`], built by the crawl
+//! workers), so the writer itself only dedups and appends.
 
 use crate::error::BundleError;
-use crate::hash::{from_hex, object_hash, to_hex};
+use crate::hash::to_hex;
 use crate::manifest::{BundleMeta, Manifest, DEFAULT_SEGMENT_CAPACITY};
-use crate::record::{BundleVisit, Checkpoint, ObjectEntry, Record, VisitRef};
-use crate::segment::{verify_and_truncate, LogWriter};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::reader::play;
+use crate::record::{BundleVisit, Checkpoint, EncodedObject, Record, VisitRef};
+use crate::segment::{truncate_log, LogWriter};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use wmtree_browser::VisitResult;
 
@@ -81,139 +86,30 @@ impl BundleWriter {
     }
 
     /// Reopen a partial bundle for appending: check `meta` against the
-    /// manifest, verify every committed record, truncate uncommitted
-    /// crash leftovers, and rebuild the dedup index plus the
-    /// already-recorded visits.
+    /// manifest, verify every committed record (the reader's playback,
+    /// decoding on every available core), truncate uncommitted crash
+    /// leftovers, and rebuild the dedup index plus the already-recorded
+    /// visits.
     pub fn resume(
         dir: &Path,
         meta: BundleMeta,
     ) -> Result<(BundleWriter, ResumeState), BundleError> {
-        // Scope guard only: the span's clock reads stay inside
-        // telemetry's own snapshot, never the manifest bytes.
-        let _span = wmtree_telemetry::span("bundle.resume.verify"); // wmtree-lint: allow(WM0301)
+        let _span = wmtree_telemetry::span("bundle.resume.verify");
         let manifest = Manifest::load(dir)?;
         manifest.check_meta(&meta)?;
-
-        // Object store first: the dedup index and payloads for the
-        // visit join below.
-        let mut index: BTreeSet<u64> = BTreeSet::new();
-        let mut store: BTreeMap<u64, VisitResult> = BTreeMap::new();
-        verify_and_truncate(
+        let playback = play(dir, &manifest, wmtree_telemetry::par::available_workers())?;
+        truncate_log(
             dir,
             OBJECTS_PREFIX,
             &manifest.object_segments,
-            |loc, payload| {
-                let entry: ObjectEntry = serde_json::from_str(payload)
-                    .map_err(|e| BundleError::json(format!("{}:{}", loc.segment, loc.line), e))?;
-                let corrupt = |detail: String| BundleError::Corrupt {
-                    segment: loc.segment.clone(),
-                    line: loc.line,
-                    offset: loc.offset,
-                    detail,
-                };
-                let hash = from_hex(&entry.hash)
-                    .ok_or_else(|| corrupt(format!("malformed object hash `{}`", entry.hash)))?;
-                let canonical = serde_json::to_string(&entry.visit)
-                    .map_err(|e| BundleError::json("re-serializing object payload", e))?;
-                let actual = object_hash(canonical.as_bytes());
-                if actual != hash {
-                    return Err(corrupt(format!(
-                        "content address mismatch: entry says {}, payload hashes to {}",
-                        entry.hash,
-                        to_hex(actual)
-                    )));
-                }
-                index.insert(hash);
-                store.insert(hash, entry.visit);
-                Ok(())
-            },
+            &playback.object_bytes,
         )?;
-        if index.len() as u64 != manifest.objects {
-            return Err(BundleError::ManifestMismatch {
-                segment: OBJECTS_PREFIX.to_string(),
-                detail: format!(
-                    "manifest declares {} unique objects, store holds {}",
-                    manifest.objects,
-                    index.len()
-                ),
-            });
-        }
-
-        // Visit log: rebuild the checkpointed visits. The committed
-        // region must end at a checkpoint (the manifest is only ever
-        // stored right after one).
-        let mut state = ResumeState::default();
-        let mut pending: Vec<BundleVisit> = Vec::new();
-        let mut checkpoints: u64 = 0;
-        let mut visit_records: u64 = 0;
-        verify_and_truncate(
+        truncate_log(
             dir,
             VISITS_PREFIX,
             &manifest.visit_segments,
-            |loc, payload| {
-                let record: Record = serde_json::from_str(payload)
-                    .map_err(|e| BundleError::json(format!("{}:{}", loc.segment, loc.line), e))?;
-                match record {
-                    Record::Visit(vr) => {
-                        visit_records += 1;
-                        let corrupt = |detail: String| BundleError::Corrupt {
-                            segment: loc.segment.clone(),
-                            line: loc.line,
-                            offset: loc.offset,
-                            detail,
-                        };
-                        if vr.profile >= manifest.meta.n_profiles {
-                            return Err(corrupt(format!(
-                                "profile index {} out of range (bundle has {} profiles)",
-                                vr.profile, manifest.meta.n_profiles
-                            )));
-                        }
-                        let hash = from_hex(&vr.object).ok_or_else(|| {
-                            corrupt(format!("malformed object hash `{}`", vr.object))
-                        })?;
-                        let Some(visit) = store.get(&hash) else {
-                            return Err(BundleError::DanglingObject {
-                                segment: loc.segment.clone(),
-                                line: loc.line,
-                                object: vr.object.clone(),
-                            });
-                        };
-                        pending.push(BundleVisit {
-                            site: vr.site,
-                            url: vr.url,
-                            profile: vr.profile,
-                            object: hash,
-                            visit: visit.clone(),
-                        });
-                    }
-                    Record::Checkpoint(cp) => {
-                        checkpoints += 1;
-                        state.sites.insert(cp.site);
-                        state.visits.append(&mut pending);
-                    }
-                }
-                Ok(())
-            },
+            &playback.visit_bytes,
         )?;
-        if !pending.is_empty() {
-            return Err(BundleError::ManifestMismatch {
-                segment: VISITS_PREFIX.to_string(),
-                detail: format!(
-                    "{} committed visit record(s) after the last checkpoint",
-                    pending.len()
-                ),
-            });
-        }
-        if checkpoints != manifest.checkpoints || visit_records != manifest.visit_records {
-            return Err(BundleError::ManifestMismatch {
-                segment: VISITS_PREFIX.to_string(),
-                detail: format!(
-                    "manifest declares {} checkpoint(s) / {} visit record(s), \
-                     log holds {checkpoints} / {visit_records}",
-                    manifest.checkpoints, manifest.visit_records
-                ),
-            });
-        }
 
         let capacity = manifest.segment_capacity;
         let writer = BundleWriter {
@@ -231,7 +127,11 @@ impl BundleWriter {
                 manifest.object_segments.clone(),
             ),
             manifest,
-            index,
+            index: playback.objects,
+        };
+        let state = ResumeState {
+            sites: playback.sites,
+            visits: playback.visits,
         };
         Ok((writer, state))
     }
@@ -242,31 +142,37 @@ impl BundleWriter {
         &self.manifest
     }
 
-    /// Append one completed site and commit it: object payloads, visit
-    /// records, a checkpoint record, then the manifest rewrite. The
-    /// iteration order of `visits` must be deterministic — it defines
-    /// the archive's bytes.
+    /// Encode and append one completed site — see
+    /// [`append_encoded`](BundleWriter::append_encoded). Encoding runs
+    /// on the calling thread; crawls encode in their workers instead.
     pub fn append_site<'a>(
         &mut self,
         site: &str,
         visits: impl IntoIterator<Item = (String, usize, &'a VisitResult)>,
     ) -> Result<usize, BundleError> {
+        let encoded = visits
+            .into_iter()
+            .map(|(url, profile, visit)| Ok((url, profile, EncodedObject::encode(visit)?)))
+            .collect::<Result<Vec<_>, BundleError>>()?;
+        self.append_encoded(site, encoded)
+    }
+
+    /// Append one completed site and commit it: object payloads not yet
+    /// stored, visit records, a checkpoint record, then the manifest
+    /// rewrite. The order of `visits` must be deterministic — it
+    /// defines the archive's bytes.
+    pub fn append_encoded(
+        &mut self,
+        site: &str,
+        visits: Vec<(String, usize, EncodedObject)>,
+    ) -> Result<usize, BundleError> {
         // Scope guard only: the span's clock reads stay inside
         // telemetry's own snapshot, never the segment bytes.
         let _span = wmtree_telemetry::span("bundle.checkpoint"); // wmtree-lint: allow(WM0301)
-        let mut count = 0usize;
-        for (url, profile, visit) in visits {
-            let canonical = serde_json::to_string(visit)
-                .map_err(|e| BundleError::json("serializing visit payload", e))?;
-            let hash = object_hash(canonical.as_bytes());
-            if self.index.insert(hash) {
-                let entry = ObjectEntry {
-                    hash: to_hex(hash),
-                    visit: visit.clone(),
-                };
-                let payload = serde_json::to_string(&entry)
-                    .map_err(|e| BundleError::json("serializing object entry", e))?;
-                self.objects.append(&payload)?;
+        let count = visits.len();
+        for (url, profile, object) in visits {
+            if self.index.insert(object.hash) {
+                self.objects.append(&object.entry)?;
                 self.manifest.objects += 1;
                 wmtree_telemetry::counter!("bundle.objects.stored").inc();
             } else {
@@ -277,13 +183,12 @@ impl BundleWriter {
                 site: site.to_string(),
                 url,
                 profile,
-                object: to_hex(hash),
+                object: to_hex(object.hash),
             });
             let payload = serde_json::to_string(&record)
                 .map_err(|e| BundleError::json("serializing visit record", e))?;
             self.visits.append(&payload)?;
             self.manifest.visit_records += 1;
-            count += 1;
             wmtree_telemetry::counter!("bundle.records.written").inc();
         }
         let checkpoint = Record::Checkpoint(Checkpoint {

@@ -2,12 +2,12 @@
 //! similarities.
 
 use crate::config::ExperimentConfig;
-use crate::incremental::{AnalysisCache, IncrementalReplay};
+use crate::incremental::{AnalysisCache, CachedAccumulation, IncrementalReplay};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Duration;
 use wmtree_analysis::node_similarity::{analyze_all, PageNodeSimilarities};
-use wmtree_analysis::ExperimentData;
+use wmtree_analysis::{ExperimentData, MergedAnalysis, PartialAccumulators, PartialMergeError};
 use wmtree_bundle::{BundleError, Manifest};
 use wmtree_crawler::{Commander, CrawlDb, CrawlOptions, ProfileStats, ResumableOutcome};
 use wmtree_filterlist::embedded::tracking_list;
@@ -213,31 +213,43 @@ impl Experiment {
             None
         };
         // A single database cannot contain duplicate pages or a
-        // foreign roster; a failure here means the cache fed back
-        // inconsistent state, which discards like corruption.
-        let cache_fault = |e: wmtree_analysis::PartialMergeError| BundleError::ManifestMismatch {
-            segment: wmtree_tree::cache::CACHE_DIR_NAME.to_string(),
-            detail: e.to_string(),
+        // foreign roster, so a merge failure means the cache fed back
+        // inconsistent state: discard it and rebuild cold. Only a
+        // failure on the empty cache is an error.
+        let attempt = || -> Result<(CachedAccumulation, MergedAnalysis), PartialMergeError> {
+            let mut acc = {
+                let _span = wmtree_telemetry::span("experiment.build_trees");
+                crate::incremental::accumulate_cached(
+                    &db,
+                    &names,
+                    filter,
+                    &self.config.tree,
+                    &site_meta,
+                    self.config.workers,
+                    cache,
+                )?
+            };
+            let partial = std::mem::replace(&mut acc.acc, PartialAccumulators::empty(Vec::new()));
+            let mut finish = Stopwatch::start();
+            let merged = partial.finish(self.config.workers)?;
+            acc.fold_wall += finish.lap("finish_fold");
+            Ok((acc, merged))
         };
-        let acc = {
-            let _span = wmtree_telemetry::span("experiment.build_trees");
-            crate::incremental::accumulate_cached(
-                &db,
-                &names,
-                filter,
-                &self.config.tree,
-                &site_meta,
-                self.config.workers,
-                cache,
-            )
-            .map_err(cache_fault)?
+        let (acc, merged) = match attempt() {
+            Ok(done) => done,
+            Err(_) => {
+                cache.discard();
+                attempt().map_err(|e| BundleError::ManifestMismatch {
+                    segment: wmtree_tree::cache::CACHE_DIR_NAME.to_string(),
+                    detail: e.to_string(),
+                })?
+            }
         };
         if cache.commit().is_err() {
             wmtree_telemetry::counter!("tree.cache.disk.error").inc();
         }
         sw.lap("accumulate");
-        let merged = acc.acc.finish(self.config.workers).map_err(cache_fault)?;
-        let fold_wall = acc.fold_wall + sw.lap("finish_fold");
+        let fold_wall = acc.fold_wall;
         manifest.push_stage("build_trees", acc.build_wall);
         manifest.push_stage("analyze", acc.analyze_wall);
         manifest.push_stage("fold_sites", fold_wall);

@@ -115,6 +115,13 @@ impl AnalysisCache {
         self.trees.commit()
     }
 
+    /// Drop everything cached — site accumulators and trees, in memory
+    /// and on disk (counted by `tree.cache.discard`).
+    pub fn discard(&self) {
+        self.sites_tier().clear();
+        self.trees.discard();
+    }
+
     fn sites_tier(&self) -> MutexGuard<'_, BTreeMap<u64, PartialAccumulators>> {
         match self.sites.lock() {
             Ok(guard) => guard,
@@ -444,5 +451,65 @@ mod tests {
         other_workers.workers = 7;
         other_workers.experiment_seed ^= 0xF00;
         assert_eq!(fp, cache_fingerprint(&other_workers));
+    }
+
+    #[test]
+    fn inconsistent_cached_site_discards_the_cache_and_rebuilds_cold() {
+        use crate::{BundleRun, Experiment, Report};
+        let cfg = crate::ExperimentConfig::at_scale(Scale::Tiny).with_seed(0xD15C);
+        let exp = Experiment::new(cfg.clone());
+        let dir = std::env::temp_dir().join("wmtree-incremental-inconsistent-site");
+        let _ = std::fs::remove_dir_all(&dir);
+        match exp.run_to_bundle(&dir, None).unwrap() {
+            BundleRun::Complete { .. } => {}
+            BundleRun::Partial { .. } => panic!("uncapped crawl must complete"),
+        }
+        let uncached = Report::generate(&exp.replay_from_bundle(&dir).unwrap());
+
+        // Populate the cache, then file a site's accumulator under
+        // another site's delta key as well: replaying now merges the
+        // first site's pages twice.
+        let cache = AnalysisCache::open(&dir.join(wmtree_tree::cache::CACHE_DIR_NAME), &cfg);
+        exp.replay_from_bundle_cached(&dir, &cache).unwrap();
+        let db = wmtree_crawler::read_bundle(&dir).unwrap();
+        let meta: BTreeMap<String, (u32, String)> = exp
+            .universe()
+            .sites()
+            .iter()
+            .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
+            .collect();
+        let mut by_site: BTreeMap<&str, Vec<&PageKey>> = BTreeMap::new();
+        for page in db.pages() {
+            by_site.entry(page.site.as_str()).or_default().push(page);
+        }
+        let keys: Vec<u64> = by_site
+            .iter()
+            .map(|(site, pages)| site_delta_key(&db, site, pages, meta.get(*site)).unwrap())
+            .collect();
+        let tier = |k: &u64| cache.sites_tier().get(k).cloned().unwrap();
+        let (vetted, other) = match keys.iter().position(|k| tier(k).page_count() > 0) {
+            Some(i) => (keys[i], keys[(i + 1) % keys.len()]),
+            None => panic!("some site has vetted pages"),
+        };
+        let injected = tier(&vetted);
+        cache.sites_tier().insert(other, injected);
+
+        let discards = wmtree_telemetry::counter!("tree.cache.discard");
+        let before = discards.get();
+        let replay = exp.replay_from_bundle_cached(&dir, &cache).unwrap();
+        assert!(
+            discards.get() > before,
+            "the inconsistent cache is discarded"
+        );
+        assert_eq!(replay.sites_reused, 0, "the retry rebuilds every site cold");
+        let cached = Report::generate(&replay.results);
+        assert_eq!(uncached.to_json(), cached.to_json());
+        assert_eq!(uncached.render(), cached.render());
+
+        // The rebuilt cache is consistent again, also across a reopen.
+        let reopened = AnalysisCache::open(&dir.join(wmtree_tree::cache::CACHE_DIR_NAME), &cfg);
+        let warm = exp.replay_from_bundle_cached(&dir, &reopened).unwrap();
+        assert_eq!(warm.sites_reused, warm.sites_total);
+        assert_eq!(uncached.render(), Report::generate(&warm.results).render());
     }
 }

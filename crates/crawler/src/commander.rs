@@ -257,26 +257,28 @@ impl<'a> Commander<'a> {
         let mut crawled = 0usize;
 
         // Crawl pending sites in chunks of `workers`: sites of a chunk
-        // run in parallel, but append/checkpoint strictly in universe
-        // order — the archive's bytes are independent of the worker
-        // count and of where interruptions fall.
+        // run in parallel — each worker also encodes its site's bundle
+        // payloads — but append/checkpoint strictly in universe order:
+        // the archive's bytes are independent of the worker count and
+        // of where interruptions fall.
+        let crawl = |site_idx: usize, worker: usize| {
+            let mut shard = CrawlDb::new(self.profiles.len());
+            self.crawl_site(site_idx, &mut shard, worker, progress);
+            let encoded = crate::bundle_io::encode_visits(&shard);
+            (site_idx, shard, encoded)
+        };
         for chunk in pending[..budget].chunks(workers) {
-            let mut shards: Vec<(usize, CrawlDb)> = Vec::with_capacity(chunk.len());
+            let mut shards = Vec::with_capacity(chunk.len());
             if workers <= 1 {
                 for &site_idx in chunk {
-                    let mut shard = CrawlDb::new(self.profiles.len());
-                    self.crawl_site(site_idx, &mut shard, 0, progress);
-                    shards.push((site_idx, shard));
+                    shards.push(crawl(site_idx, 0));
                 }
             } else {
                 std::thread::scope(|scope| {
+                    let crawl = &crawl;
                     let mut handles = Vec::with_capacity(chunk.len());
                     for (w, &site_idx) in chunk.iter().enumerate() {
-                        handles.push(scope.spawn(move || {
-                            let mut shard = CrawlDb::new(self.profiles.len());
-                            self.crawl_site(site_idx, &mut shard, w, progress);
-                            (site_idx, shard)
-                        }));
+                        handles.push(scope.spawn(move || crawl(site_idx, w)));
                     }
                     for h in handles {
                         // Propagate worker panics, as in run_with_progress.
@@ -284,11 +286,8 @@ impl<'a> Commander<'a> {
                     }
                 });
             }
-            for (site_idx, shard) in shards {
-                writer.append_site(
-                    &sites[site_idx].domain,
-                    crate::bundle_io::ordered_visits(&shard),
-                )?;
+            for (site_idx, shard, encoded) in shards {
+                writer.append_encoded(&sites[site_idx].domain, encoded?)?;
                 db.merge(shard);
                 crawled += 1;
             }

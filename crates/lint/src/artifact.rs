@@ -347,6 +347,7 @@ pub fn check_bundle(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagnosti
                 segment,
                 line,
                 object,
+                ..
             } => out.push(
                 Diagnostic::artifact(
                     Code("WM0232"),

@@ -26,6 +26,7 @@
 
 pub mod manifest;
 pub mod metrics;
+pub mod par;
 pub mod progress;
 pub mod span;
 

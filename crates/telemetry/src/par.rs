@@ -1,12 +1,14 @@
-//! Deterministic scoped-thread fan-out for per-page analysis passes.
+//! Deterministic scoped-thread fan-out: the workspace's one worker pool.
 //!
-//! The same worker scheme the crawler's `Commander` uses: chunk the
-//! input across `workers` scoped threads, write each result into its
-//! pre-assigned slot, and join. Because every item's result lands at
-//! the item's own position, the output is **identical for any worker
-//! count** — the deterministic-merge rule of DESIGN.md §9. Ordered
-//! floating-point accumulation therefore stays inside `f`, never
-//! across threads.
+//! Per-page analysis passes, the lint engine and the bundle reader's
+//! object decode all fan out through here (re-exported as
+//! `wmtree_analysis::par`). The same worker scheme the crawler's
+//! `Commander` uses: chunk the input across `workers` scoped threads,
+//! write each result into its pre-assigned slot, and join. Because
+//! every item's result lands at the item's own position, the output is
+//! **identical for any worker count** — the deterministic-merge rule of
+//! DESIGN.md §9. Ordered floating-point accumulation therefore stays
+//! inside `f`, never across threads.
 
 /// Minimum items per worker before fan-out engages. Below this, thread
 /// spawn/join and cross-core cache traffic cost more than the chunks
@@ -26,6 +28,15 @@ pub const MIN_ITEMS_PER_WORKER: usize = 256;
 /// more numerous and far more uniform (one tree each), so a lower
 /// floor amortizes spawn/join while chunks stay balanced.
 pub const MIN_VISITS_PER_WORKER: usize = 64;
+
+/// The host's available parallelism (1 if it cannot be determined) —
+/// the default worker count of paths without a configured one, and the
+/// cap of every fan-out below.
+pub fn available_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
 
 /// Map `f` over `items`, fanning out over up to `workers` scoped
 /// threads, returning results in input order. `workers <= 1` (or a
@@ -59,13 +70,10 @@ where
     T: Send,
     F: Fn(&I) -> T + Sync,
 {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let workers = workers
         .clamp(1, items.len().max(1))
         .min((items.len() / min_items_per_worker.max(1)).max(1))
-        .min(cores);
+        .min(available_workers());
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
@@ -83,7 +91,7 @@ where
             }));
         }
         for h in handles {
-            h.join().expect("analysis worker panicked"); // wmtree-lint: allow(WM0105)
+            h.join().expect("par_map worker panicked"); // wmtree-lint: allow(WM0105)
         }
     });
     out.into_iter()

@@ -355,6 +355,29 @@ impl TreeCache {
         state.sites.insert(key, std::sync::Arc::from(payload));
     }
 
+    /// Drop every cached tree and site record, in memory and on disk
+    /// (counted by `tree.cache.discard`), leaving an empty cache that
+    /// repopulates as the caller rebuilds. For callers that found the
+    /// cache feeding back inconsistent state — the cache holds derived
+    /// data only, so discarding is always safe.
+    pub fn discard(&self) {
+        wmtree_telemetry::counter!("tree.cache.discard").inc();
+        let mut state = self.state.lock();
+        state.trees.clear();
+        state.disk.clear();
+        state.order.clear();
+        state.sites.clear();
+        if let Some(dir) = &self.dir {
+            discard_dir(dir);
+            if state.logs.is_some() {
+                state.logs = Some((
+                    LogWriter::create(dir, TREES_PREFIX, DEFAULT_SEGMENT_CAPACITY),
+                    LogWriter::create(dir, SITES_PREFIX, DEFAULT_SEGMENT_CAPACITY),
+                ));
+            }
+        }
+    }
+
     /// Commit appended records durably: flush both logs and atomically
     /// rewrite `CACHE.json` to cover them. Also refreshes the
     /// `tree.cache.disk.bytes` gauge with the total committed segment
