@@ -87,26 +87,14 @@ pub struct ExperimentData {
 impl ExperimentData {
     /// Build the analysis input from a crawl database: apply the
     /// all-profiles vetting rule, construct every tree, and collect
-    /// cookie observations. Sequential; see
-    /// [`from_db_parallel`](Self::from_db_parallel).
+    /// cookie observations. The tree builds fan out over `workers`
+    /// scoped threads (`1` is sequential), deduplicated through an
+    /// ephemeral in-run memo (content hashes the database already
+    /// knows — bundle replays know them all, live crawls none). Results
+    /// are identical for any worker count.
     ///
     /// `site_meta` optionally maps a site to `(rank, bucket label)` for
     /// the popularity analysis.
-    pub fn from_db(
-        db: &CrawlDb,
-        profile_names: Vec<String>,
-        filter_list: Option<&FilterList>,
-        tree_config: &TreeConfig,
-        site_meta: &BTreeMap<String, (u32, String)>,
-    ) -> ExperimentData {
-        Self::from_db_parallel(db, profile_names, filter_list, tree_config, site_meta, 1)
-    }
-
-    /// [`from_db`](Self::from_db) with the tree builds fanned out over
-    /// `workers` scoped threads, deduplicated through an ephemeral
-    /// in-run memo (content hashes the database already knows — bundle
-    /// replays know them all, live crawls none). Results are identical
-    /// for any worker count.
     pub fn from_db_parallel(
         db: &CrawlDb,
         profile_names: Vec<String>,
@@ -348,12 +336,13 @@ pub(crate) mod testutil {
                 .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
                 .collect();
             let _ = RankBucket::Top5k; // keep the import honest
-            ExperimentData::from_db(
+            ExperimentData::from_db_parallel(
                 &db,
                 names,
                 Some(tracking_list()),
                 &wmtree_tree::TreeConfig::default(),
                 &site_meta,
+                1,
             )
         })
     }

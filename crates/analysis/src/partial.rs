@@ -49,6 +49,15 @@ pub enum PartialMergeError {
         /// The doubly-contributed page's URL.
         url: String,
     },
+    /// A per-site accumulator holds a page of another site.
+    ForeignPage {
+        /// The site the accumulator stands for.
+        expected: String,
+        /// The foreign page's site.
+        site: String,
+        /// The foreign page's URL.
+        url: String,
+    },
 }
 
 impl std::fmt::Display for PartialMergeError {
@@ -61,6 +70,11 @@ impl std::fmt::Display for PartialMergeError {
             PartialMergeError::DuplicatePage { site, url } => {
                 write!(f, "page {site} / {url} contributed by more than one shard")
             }
+            PartialMergeError::ForeignPage {
+                expected,
+                site,
+                url,
+            } => write!(f, "page {site} / {url} filed under site {expected}"),
         }
     }
 }
@@ -157,6 +171,19 @@ impl PartialAccumulators {
     /// Pages accumulated so far.
     pub fn page_count(&self) -> usize {
         self.pairs.len()
+    }
+
+    /// Check that every accumulated page belongs to `site` — the
+    /// invariant of a per-site accumulator.
+    pub fn check_site(&self, site: &str) -> Result<(), PartialMergeError> {
+        match self.pairs.iter().find(|(page, _)| &*page.site != site) {
+            None => Ok(()),
+            Some((page, _)) => Err(PartialMergeError::ForeignPage {
+                expected: site.to_string(),
+                site: page.site.to_string(),
+                url: page.url.clone(),
+            }),
+        }
     }
 
     /// Fold another accumulator in. Order-insensitive: any merge order

@@ -53,3 +53,23 @@ pub use record::{
 pub use store::{BundleStore, BundleSummary};
 pub use verify::{verify_bundle, VerifyIssue, VerifyReport};
 pub use writer::{BundleWriter, ResumeState};
+
+use std::path::{Path, PathBuf};
+
+/// Atomically replace the file at `path` with `bytes`: write them to
+/// [`commit_tmp_path`] in the same directory, then rename that over
+/// the target, so a crash leaves the old file or the new one, never a
+/// torn one. Every manifest-style commit in the workspace goes through
+/// here.
+pub fn commit_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = commit_tmp_path(path);
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}
+
+/// The temp file [`commit_atomic`] stages `path`'s new bytes in:
+/// `.<name>.tmp` next to the target.
+pub fn commit_tmp_path(path: &Path) -> PathBuf {
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    path.with_file_name(format!(".{name}.tmp"))
+}

@@ -10,13 +10,14 @@
 //! * [`interaction_variants`] — §3.1.1: no / full simulated interaction.
 //! * [`tree_metric`] — §3.2: node-set Jaccard vs. whole-tree distance.
 
+use crate::experiment::PipelineInputs;
 use crate::{Experiment, ExperimentConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use wmtree_analysis::node_similarity::analyze_all;
 use wmtree_analysis::ExperimentData;
 use wmtree_crawler::{Commander, CrawlDb, CrawlOptions, Profile};
 use wmtree_filterlist::embedded::tracking_list;
+use wmtree_filterlist::FilterList;
 use wmtree_stats::jaccard::jaccard;
 use wmtree_tree::{CallStackMode, TreeConfig};
 
@@ -29,42 +30,35 @@ pub struct AblationOutcome {
     pub arms: Vec<(String, f64)>,
 }
 
-fn crawl(config: &ExperimentConfig) -> (CrawlDb, Vec<Profile>, BTreeMap<String, (u32, String)>) {
+/// Crawl `config`'s experiment; returns the database and the
+/// experiment's pipeline inputs (profile names, site metadata).
+fn crawl(config: &ExperimentConfig) -> (CrawlDb, PipelineInputs) {
     let experiment = Experiment::new(config.clone());
-    let commander = Commander::new(
-        experiment.universe(),
-        config.profiles.clone(),
-        CrawlOptions {
-            max_pages_per_site: config.max_pages_per_site,
-            workers: config.workers,
-            experiment_seed: config.experiment_seed,
-            reliable: config.reliable,
-            stateful: false,
-        },
-    );
-    let db = commander.run();
-    let meta = experiment
-        .universe()
-        .sites()
-        .iter()
-        .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
-        .collect();
-    (db, config.profiles.clone(), meta)
+    (experiment.commander().run(), experiment.pipeline_inputs())
+}
+
+fn data_with(
+    db: &CrawlDb,
+    inputs: &PipelineInputs,
+    filter: &FilterList,
+    tree: &TreeConfig,
+) -> ExperimentData {
+    ExperimentData::from_db_parallel(
+        db,
+        inputs.names.clone(),
+        Some(filter),
+        tree,
+        &inputs.site_meta,
+        1,
+    )
 }
 
 fn data_with_tree_config(
     db: &CrawlDb,
-    profiles: &[Profile],
-    meta: &BTreeMap<String, (u32, String)>,
+    inputs: &PipelineInputs,
     tree: &TreeConfig,
 ) -> ExperimentData {
-    ExperimentData::from_db(
-        db,
-        profiles.iter().map(|p| p.name.clone()).collect(),
-        Some(tracking_list()),
-        tree,
-        meta,
-    )
+    data_with(db, inputs, tracking_list(), tree)
 }
 
 /// Mean per-node child similarity of an experiment — the headline
@@ -100,12 +94,11 @@ fn distinct_nodes(data: &ExperimentData) -> f64 {
 /// space and deflate similarity ("will (unrealistically) increase the
 /// observed differences").
 pub fn url_normalization(config: &ExperimentConfig) -> AblationOutcome {
-    let (db, profiles, meta) = crawl(config);
-    let on = data_with_tree_config(&db, &profiles, &meta, &TreeConfig::default());
+    let (db, inputs) = crawl(config);
+    let on = data_with_tree_config(&db, &inputs, &TreeConfig::default());
     let off = data_with_tree_config(
         &db,
-        &profiles,
-        &meta,
+        &inputs,
         &TreeConfig {
             normalize_urls: false,
             ..TreeConfig::default()
@@ -128,12 +121,11 @@ pub fn url_normalization(config: &ExperimentConfig) -> AblationOutcome {
 
 /// §3.2 ablation: latest-entry vs. full-stack-walk call-stack parents.
 pub fn callstack_mode(config: &ExperimentConfig) -> AblationOutcome {
-    let (db, profiles, meta) = crawl(config);
-    let latest = data_with_tree_config(&db, &profiles, &meta, &TreeConfig::default());
+    let (db, inputs) = crawl(config);
+    let latest = data_with_tree_config(&db, &inputs, &TreeConfig::default());
     let walk = data_with_tree_config(
         &db,
-        &profiles,
-        &meta,
+        &inputs,
         &TreeConfig {
             call_stack_mode: CallStackMode::FullWalk,
             ..TreeConfig::default()
@@ -151,7 +143,7 @@ pub fn callstack_mode(config: &ExperimentConfig) -> AblationOutcome {
 /// §3.2 ablation: the all-profiles vetting rule vs. at-least-k. Relaxed
 /// vetting keeps more pages but compares incomplete profile sets.
 pub fn vetting(config: &ExperimentConfig) -> AblationOutcome {
-    let (db, _profiles, _meta) = crawl(config);
+    let (db, _) = crawl(config);
     let k_all = db.vetted_pages().len() as f64;
     let arms = (1..=db.n_profiles())
         .map(|k| (format!("k≥{k}"), db.vetted_pages_k(k).len() as f64))
@@ -170,8 +162,8 @@ pub fn interaction_variants(config: &ExperimentConfig) -> AblationOutcome {
     let mut without = config.clone();
     without.profiles = vec![Profile::new("Without", 95, false, true)];
     let nodes = |cfg: &ExperimentConfig| {
-        let (db, profiles, meta) = crawl(cfg);
-        let data = data_with_tree_config(&db, &profiles, &meta, &TreeConfig::default());
+        let (db, inputs) = crawl(cfg);
+        let data = data_with_tree_config(&db, &inputs, &TreeConfig::default());
         data.pages
             .iter()
             .flat_map(|p| &p.trees)
@@ -193,15 +185,9 @@ pub fn interaction_variants(config: &ExperimentConfig) -> AblationOutcome {
 /// studies down.
 pub fn filter_lists(config: &ExperimentConfig) -> AblationOutcome {
     use wmtree_filterlist::embedded;
-    let (db, profiles, meta) = crawl(config);
-    let share = |list: &'static wmtree_filterlist::FilterList| -> f64 {
-        let data = ExperimentData::from_db(
-            &db,
-            profiles.iter().map(|p| p.name.clone()).collect(),
-            Some(list),
-            &TreeConfig::default(),
-            &meta,
-        );
+    let (db, inputs) = crawl(config);
+    let share = |list: &FilterList| -> f64 {
+        let data = data_with(&db, &inputs, list, &TreeConfig::default());
         let mut tracking = 0usize;
         let mut total = 0usize;
         for page in &data.pages {
@@ -277,8 +263,8 @@ pub fn statefulness(config: &ExperimentConfig) -> AblationOutcome {
 /// edit-distance-style metric (rejected because it hides *where* trees
 /// differ). We compute both between Sim1 and Sim2 trees.
 pub fn tree_metric(config: &ExperimentConfig) -> AblationOutcome {
-    let (db, profiles, meta) = crawl(config);
-    let data = data_with_tree_config(&db, &profiles, &meta, &TreeConfig::default());
+    let (db, inputs) = crawl(config);
+    let data = data_with_tree_config(&db, &inputs, &TreeConfig::default());
     let a = data.profile_index("Sim1").unwrap_or(0);
     let b = data.profile_index("Sim2").unwrap_or(1);
     let mut node_set = Vec::new();

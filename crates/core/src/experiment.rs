@@ -2,15 +2,16 @@
 //! similarities.
 
 use crate::config::ExperimentConfig;
-use crate::incremental::{AnalysisCache, CachedAccumulation, IncrementalReplay};
+use crate::incremental::{accumulate_cached, AnalysisCache, CachedAccumulation, IncrementalReplay};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Duration;
 use wmtree_analysis::node_similarity::{analyze_all, PageNodeSimilarities};
-use wmtree_analysis::{ExperimentData, MergedAnalysis, PartialAccumulators, PartialMergeError};
+use wmtree_analysis::{ExperimentData, MergedAnalysis, PartialMergeError};
 use wmtree_bundle::{BundleError, Manifest};
 use wmtree_crawler::{Commander, CrawlDb, CrawlOptions, ProfileStats, ResumableOutcome};
 use wmtree_filterlist::embedded::tracking_list;
+use wmtree_filterlist::FilterList;
 use wmtree_telemetry::{
     ManifestProfile, MetricValue, ProgressTracker, RunManifest, Snapshot, Stopwatch,
 };
@@ -164,22 +165,20 @@ impl Experiment {
         let mut sw = Stopwatch::start();
         let mut manifest = self.base_manifest();
 
-        let bundle = Manifest::load(dir)?;
-        bundle.check_meta(&self.commander().bundle_meta())?;
-        let db = wmtree_crawler::read_bundle(dir)?;
+        let db = self.open_bundle(dir)?;
         manifest.push_stage("read_bundle", sw.lap("read_bundle"));
 
         Ok(self.finish(db, manifest, sw, None, &metrics_before))
     }
 
     /// [`replay_from_bundle`](Experiment::replay_from_bundle) through
-    /// an [`AnalysisCache`]: unchanged sites fold their cached partial
-    /// accumulators without rebuilding a single tree, changed sites
-    /// rebuild with their trees memoized per visit, and the cache is
-    /// committed (appended records made durable) before returning. The
-    /// results are byte-identical to the uncached replay; the
-    /// [`IncrementalReplay`] wrapper additionally reports how much work
-    /// the cache absorbed.
+    /// an [`AnalysisCache`]: [`open_bundle`](Experiment::open_bundle),
+    /// [`accumulate`](Experiment::accumulate), then one canonical
+    /// finish. Unchanged sites fold their cached partial accumulators
+    /// without rebuilding a single tree, changed sites rebuild with
+    /// their trees memoized per visit. The results are byte-identical
+    /// to the uncached replay; the [`IncrementalReplay`] wrapper
+    /// additionally reports how much work the cache absorbed.
     pub fn replay_from_bundle_cached(
         &self,
         dir: &Path,
@@ -190,81 +189,19 @@ impl Experiment {
         let mut sw = Stopwatch::start();
         let mut manifest = self.base_manifest();
 
-        let bundle = Manifest::load(dir)?;
-        bundle.check_meta(&self.commander().bundle_meta())?;
-        let db = wmtree_crawler::read_bundle(dir)?;
+        let db = self.open_bundle(dir)?;
         manifest.push_stage("read_bundle", sw.lap("read_bundle"));
+        let acc = self.accumulate(&db, cache)?;
+        drop(db);
 
-        let site_meta: BTreeMap<String, (u32, String)> = self
-            .universe
-            .sites()
-            .iter()
-            .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
-            .collect();
-        let names: Vec<String> = self
-            .config
-            .profiles
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
-        let filter = if self.config.use_filter_list {
-            Some(tracking_list())
-        } else {
-            None
-        };
-        // A single database cannot contain duplicate pages or a
-        // foreign roster, so a merge failure means the cache fed back
-        // inconsistent state: discard it and rebuild cold. Only a
-        // failure on the empty cache is an error.
-        let attempt = || -> Result<(CachedAccumulation, MergedAnalysis), PartialMergeError> {
-            let mut acc = {
-                let _span = wmtree_telemetry::span("experiment.build_trees");
-                crate::incremental::accumulate_cached(
-                    &db,
-                    &names,
-                    filter,
-                    &self.config.tree,
-                    &site_meta,
-                    self.config.workers,
-                    cache,
-                )?
-            };
-            let partial = std::mem::replace(&mut acc.acc, PartialAccumulators::empty(Vec::new()));
-            let mut finish = Stopwatch::start();
-            let merged = partial.finish(self.config.workers)?;
-            acc.fold_wall += finish.lap("finish_fold");
-            Ok((acc, merged))
-        };
-        let (acc, merged) = match attempt() {
-            Ok(done) => done,
-            Err(_) => {
-                cache.discard();
-                attempt().map_err(|e| BundleError::ManifestMismatch {
-                    segment: wmtree_tree::cache::CACHE_DIR_NAME.to_string(),
-                    detail: e.to_string(),
-                })?
-            }
-        };
-        if cache.commit().is_err() {
-            wmtree_telemetry::counter!("tree.cache.disk.error").inc();
-        }
-        sw.lap("accumulate");
-        let fold_wall = acc.fold_wall;
+        let mut finish = Stopwatch::start();
+        let merged = acc.acc.finish(self.config.workers).map_err(cache_fault)?;
+        let fold_wall = acc.fold_wall + finish.lap("finish_fold");
         manifest.push_stage("build_trees", acc.build_wall);
         manifest.push_stage("analyze", acc.analyze_wall);
         manifest.push_stage("fold_sites", fold_wall);
-        manifest.metrics = wmtree_telemetry::global().snapshot().since(&metrics_before);
-        manifest.timings = wmtree_telemetry::global().timings().snapshot();
         Ok(IncrementalReplay {
-            results: ExperimentResults {
-                data: merged.data,
-                sims: merged.sims,
-                profile_stats: merged.profile_stats,
-                pages_discovered: merged.digest.pages_discovered,
-                successful_visits: merged.digest.successful_visits,
-                vetted_sites: merged.digest.vetted_sites,
-                manifest,
-            },
+            results: ExperimentResults::from_merged(merged, manifest, &metrics_before),
             sites_total: acc.sites_total,
             sites_rebuilt: acc.sites_rebuilt,
             sites_reused: acc.sites_reused,
@@ -274,8 +211,55 @@ impl Experiment {
         })
     }
 
+    /// Load the complete crawl database of the bundle at `dir`, after
+    /// checking that it was recorded under this configuration.
+    pub fn open_bundle(&self, dir: &Path) -> Result<CrawlDb, BundleError> {
+        let bundle = Manifest::load(dir)?;
+        bundle.check_meta(&self.commander().bundle_meta())?;
+        wmtree_crawler::read_bundle(dir)
+    }
+
+    /// Fold one bundle's database into mergeable per-site accumulators
+    /// through `cache` ([`accumulate_cached`]), then commit the cache
+    /// (a failed commit only costs the next run time, and is counted in
+    /// `tree.cache.disk.error`). A database read from one bundle cannot
+    /// hold duplicate pages or a foreign roster, so a merge failure
+    /// means the cache fed back inconsistent state: it is discarded and
+    /// the bundle is rebuilt cold. Only a failure on the empty cache is
+    /// an error.
+    pub fn accumulate(
+        &self,
+        db: &CrawlDb,
+        cache: &AnalysisCache,
+    ) -> Result<CachedAccumulation, BundleError> {
+        let inputs = self.pipeline_inputs();
+        let attempt = || {
+            let _span = wmtree_telemetry::span("experiment.build_trees");
+            accumulate_cached(
+                db,
+                &inputs.names,
+                inputs.filter,
+                &self.config.tree,
+                &inputs.site_meta,
+                self.config.workers,
+                cache,
+            )
+        };
+        let acc = match attempt() {
+            Ok(acc) => acc,
+            Err(_) => {
+                cache.discard();
+                attempt().map_err(cache_fault)?
+            }
+        };
+        if cache.commit().is_err() {
+            wmtree_telemetry::counter!("tree.cache.disk.error").inc();
+        }
+        Ok(acc)
+    }
+
     /// The commander this configuration describes.
-    fn commander(&self) -> Commander<'_> {
+    pub(crate) fn commander(&self) -> Commander<'_> {
         Commander::new(
             &self.universe,
             self.config.profiles.clone(),
@@ -290,8 +274,9 @@ impl Experiment {
     }
 
     /// A run manifest primed with the experiment identity, profile
-    /// roster, and the `generate` stage.
-    fn base_manifest(&self) -> RunManifest {
+    /// roster, and the `generate` stage — the one layout every mode
+    /// reports.
+    pub fn base_manifest(&self) -> RunManifest {
         let mut manifest = RunManifest::new(
             self.config.experiment_seed,
             format!(
@@ -317,8 +302,29 @@ impl Experiment {
         manifest
     }
 
-    /// The post-crawl pipeline shared by every mode: vetting + tree
-    /// building, per-node analyses, and manifest assembly. `progress`
+    /// What tree building and the analyses take from the
+    /// configuration, built in this one place for every mode.
+    pub(crate) fn pipeline_inputs(&self) -> PipelineInputs {
+        PipelineInputs {
+            names: self
+                .config
+                .profiles
+                .iter()
+                .map(|p| p.name.clone())
+                .collect(),
+            filter: self.config.use_filter_list.then(tracking_list),
+            site_meta: self
+                .universe
+                .sites()
+                .iter()
+                .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
+                .collect(),
+        }
+    }
+
+    /// The monolithic post-crawl pipeline of `run`, `run_to_bundle` and
+    /// the uncached replay: vetting + tree building over the whole
+    /// database, per-node analyses, and manifest assembly. `progress`
     /// is absent when no crawl happened (bundle replay).
     fn finish(
         &self,
@@ -328,31 +334,15 @@ impl Experiment {
         progress: Option<&ProgressTracker>,
         metrics_before: &Snapshot,
     ) -> ExperimentResults {
-        let site_meta: BTreeMap<String, (u32, String)> = self
-            .universe
-            .sites()
-            .iter()
-            .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
-            .collect();
-        let names = self
-            .config
-            .profiles
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
-        let filter = if self.config.use_filter_list {
-            Some(tracking_list())
-        } else {
-            None
-        };
+        let inputs = self.pipeline_inputs();
         let data = {
             let _span = wmtree_telemetry::span("experiment.build_trees");
             ExperimentData::from_db_parallel(
                 &db,
-                names,
-                filter,
+                inputs.names,
+                inputs.filter,
                 &self.config.tree,
-                &site_meta,
+                &inputs.site_meta,
                 self.config.workers,
             )
         };
@@ -383,6 +373,47 @@ impl Experiment {
             data,
             manifest,
         }
+    }
+}
+
+impl ExperimentResults {
+    /// Results from a finished fold of per-site accumulators (a cached
+    /// replay or a shard merge). `manifest` gains the metrics recorded
+    /// since `metrics_before` and the span timings.
+    pub fn from_merged(
+        merged: MergedAnalysis,
+        mut manifest: RunManifest,
+        metrics_before: &Snapshot,
+    ) -> ExperimentResults {
+        manifest.metrics = wmtree_telemetry::global().snapshot().since(metrics_before);
+        manifest.timings = wmtree_telemetry::global().timings().snapshot();
+        ExperimentResults {
+            data: merged.data,
+            sims: merged.sims,
+            profile_stats: merged.profile_stats,
+            pages_discovered: merged.digest.pages_discovered,
+            successful_visits: merged.digest.successful_visits,
+            vetted_sites: merged.digest.vetted_sites,
+            manifest,
+        }
+    }
+}
+
+/// See [`Experiment::pipeline_inputs`].
+pub(crate) struct PipelineInputs {
+    /// Profile names, in Table 1 order.
+    pub(crate) names: Vec<String>,
+    /// The tracking filter list, when the configuration uses one.
+    pub(crate) filter: Option<&'static FilterList>,
+    /// Each site's `(rank, bucket label)`, for the popularity analysis.
+    pub(crate) site_meta: BTreeMap<String, (u32, String)>,
+}
+
+/// A fold failure the cache caused, located at the cache directory.
+fn cache_fault(e: PartialMergeError) -> BundleError {
+    BundleError::ManifestMismatch {
+        segment: wmtree_tree::cache::CACHE_DIR_NAME.to_string(),
+        detail: e.to_string(),
     }
 }
 

@@ -229,10 +229,10 @@ fn site_stats(db: &CrawlDb, pages: &[&PageKey]) -> (Vec<ProfileStats>, usize) {
 
 /// Outcome of [`accumulate_cached`]: every site's accumulator — cached
 /// or freshly rebuilt — merged but **not yet finished**, plus the
-/// incremental accounting and per-phase wall times the bench harness
-/// and replay manifest report. Callers folding a single database call
-/// [`PartialAccumulators::finish`] directly; the shard merge folds
-/// several of these across bundles first and finishes once.
+/// incremental accounting and per-phase wall times the benchmark and
+/// replay manifest report. A cached replay calls
+/// [`PartialAccumulators::finish`] on one of these; the shard merge
+/// folds one per bundle first and finishes once.
 pub struct CachedAccumulation {
     /// The merged (un-finished) accumulators over every site.
     pub acc: PartialAccumulators,
@@ -255,7 +255,14 @@ pub struct CachedAccumulation {
 /// The cached post-crawl pipeline: resolve each site against the
 /// cache, rebuild only the changed ones (their trees still memoized
 /// per visit), and fold every site's accumulator — cached or fresh —
-/// into one mergeable [`PartialAccumulators`].
+/// into one mergeable [`PartialAccumulators`]. A cached accumulator
+/// holding another site's pages fails with
+/// [`PartialMergeError::ForeignPage`].
+///
+/// [`Experiment::accumulate`][crate::Experiment::accumulate] wraps this
+/// with the configuration's inputs, cache-fault recovery and the cache
+/// commit; cached replays and the shard merge both fold bundles
+/// through it.
 pub fn accumulate_cached(
     db: &CrawlDb,
     profile_names: &[String],
@@ -288,11 +295,16 @@ pub fn accumulate_cached(
     // counters and disk append order). Materializing a cached
     // accumulator — parse, tree rehydration — is fold work, symmetric
     // to the cold fold's serialize, so it counts toward the fold stage.
+    // A cached accumulator holding another site's pages is a cache
+    // fault, reported here so the caller can retry this database cold.
     let mut reused: Vec<PartialAccumulators> = Vec::new();
     let mut rebuild: Vec<(&str, Option<u64>)> = Vec::new();
     for (site, key) in keyed {
         match key.and_then(|k| cache.get_site_acc(k, profile_names)) {
-            Some(acc) => reused.push(acc),
+            Some(acc) => {
+                acc.check_site(site)?;
+                reused.push(acc);
+            }
             None => rebuild.push((site, key)),
         }
     }

@@ -31,7 +31,7 @@
 //!    a deterministic rank-listed universe of sites.
 //! 2. [`Commander::run`](wmtree_crawler::Commander::run) — the
 //!    semi-parallel five-profile crawl (Table 1 profiles).
-//! 3. [`ExperimentData::from_db`](wmtree_analysis::ExperimentData::from_db)
+//! 3. [`ExperimentData::from_db_parallel`](wmtree_analysis::ExperimentData::from_db_parallel)
 //!    — vetting + dependency-tree construction (§3.2).
 //! 4. [`Report::generate`] — every table/figure of §4, §5, and the
 //!    appendices.

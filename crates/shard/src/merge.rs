@@ -1,25 +1,33 @@
-//! Streaming merge analysis: replay one shard-bundle at a time into
+//! Streaming merge analysis: fold one shard-bundle at a time into
 //! mergeable partial accumulators, then finish into exactly the
 //! results a monolithic single-process run produces.
 //!
+//! Each shard takes the cached replay's path —
+//! [`Experiment::open_bundle`] then [`Experiment::accumulate`] through
+//! the shard's own `TREECACHE` — so a re-merge over unchanged shards
+//! folds cached per-site accumulators without rebuilding a tree, and a
+//! cache that feeds back inconsistent state is discarded and the shard
+//! rebuilt cold, as in a replay. The accumulators then merge across
+//! shards and finish once; a duplicate page at that finish can only
+//! mean overlapping shards ([`ShardError::Merge`]).
+//!
 //! The memory argument: the expensive residency of a run is the raw
 //! crawl database (every visit of every page). The merge holds at most
-//! **one shard's** database at a time — load shard k, vet + build
-//! trees, analyze its pages, fold the (much smaller) per-page analysis
-//! records into the accumulator, and drop the database before touching
-//! shard k+1. The `shard.pages.in_memory` gauge tracks the live
-//! database's page count and `shard.pages.in_memory.peak` its maximum,
-//! so a run can *prove* its residency never exceeded one shard.
+//! **one shard's** database at a time — load shard k, fold it into
+//! (much smaller) per-page analysis records, and drop the database
+//! before touching shard k+1. The `shard.pages.in_memory` gauge tracks
+//! the live database's page count and `shard.pages.in_memory.peak` its
+//! maximum, so a run can *prove* its residency never exceeded one
+//! shard.
 
 use crate::error::ShardError;
 use crate::plan::ShardPlan;
 use std::path::Path;
-use wmtree::{accumulate_cached, AnalysisCache, Experiment, ExperimentResults};
+use wmtree::tree::cache::CACHE_DIR_NAME;
+use wmtree::{AnalysisCache, Experiment, ExperimentResults};
 use wmtree_analysis::{MergeDigest, PartialAccumulators};
 use wmtree_bundle::{bundle_content_hash, Manifest};
-use wmtree_crawler::read_bundle;
-use wmtree_filterlist::embedded::tracking_list;
-use wmtree_telemetry::{ManifestProfile, RunManifest, Stopwatch};
+use wmtree_telemetry::Stopwatch;
 
 /// A finished streaming merge.
 #[derive(Debug)]
@@ -71,7 +79,8 @@ fn check_hash(plan_dir: &Path, spec: &crate::plan::ShardSpec) -> Result<(), Shar
 /// completion ([`crate::runner::crawl_shard`]); each bundle's content
 /// hash and per-record checksums are verified as it is read, and any
 /// corruption surfaces as an error naming the shard and the exact
-/// location inside its archive.
+/// location inside its archive. The run manifest has the cached
+/// replay's layout, with each stage summed over the shards.
 pub fn merge_shards(exp: &Experiment, plan_dir: &Path) -> Result<MergedRun, ShardError> {
     let _span = wmtree_telemetry::span("shard.merge");
     let metrics_before = wmtree_telemetry::global().snapshot();
@@ -79,49 +88,16 @@ pub fn merge_shards(exp: &Experiment, plan_dir: &Path) -> Result<MergedRun, Shar
 
     let plan = ShardPlan::load(plan_dir)?;
     plan.check_experiment(exp)?;
-
-    let cfg = exp.config();
-    let names: Vec<String> = cfg.profiles.iter().map(|p| p.name.clone()).collect();
-    let filter = if cfg.use_filter_list {
-        Some(tracking_list())
-    } else {
-        None
-    };
-    let site_meta: std::collections::BTreeMap<String, (u32, String)> = exp
-        .universe()
-        .sites()
-        .iter()
-        .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
-        .collect();
-
-    let mut manifest = RunManifest::new(
-        cfg.experiment_seed,
-        format!(
-            "{} sites × ≤{} pages × {} profiles, merged from {} shards",
-            plan.total_sites,
-            cfg.max_pages_per_site,
-            names.len(),
-            plan.shards.len(),
-        ),
-    );
-    manifest.profiles = cfg
-        .profiles
-        .iter()
-        .map(|p| ManifestProfile {
-            name: p.name.clone(),
-            version: p.version,
-            user_interaction: p.user_interaction,
-            gui: p.gui,
-            country: p.country.clone(),
-        })
-        .collect();
+    let mut manifest = exp.base_manifest();
+    manifest.label += &format!(", merged from {} shards", plan.shards.len());
 
     let gauge = wmtree_telemetry::gauge!("shard.pages.in_memory");
     let peak_gauge = wmtree_telemetry::gauge!("shard.pages.in_memory.peak");
     let mut peak: usize = 0;
     let mut sites_rebuilt: usize = 0;
     let mut sites_reused: usize = 0;
-    let mut acc = PartialAccumulators::empty(names.clone());
+    let (mut read_wall, mut build_wall, mut analyze_wall, mut fold_wall) = Default::default();
+    let mut acc = PartialAccumulators::empty(plan.profiles.clone());
 
     for spec in &plan.shards {
         let _shard_span = wmtree_telemetry::span("shard.merge.fold");
@@ -132,67 +108,46 @@ pub fn merge_shards(exp: &Experiment, plan_dir: &Path) -> Result<MergedRun, Shar
             dir: dir.clone(),
             source,
         };
-
-        let bundle = Manifest::load(&dir).map_err(located)?;
-        if !bundle.complete {
+        if !Manifest::load(&dir).map_err(located)?.complete {
             return Err(ShardError::NotCrawled { id: spec.id });
         }
 
         // The one-shard residency window: the raw database lives only
-        // inside this block. Each shard carries its own tree/site
-        // cache next to its bundle, so a re-merge over unchanged
-        // shards folds cached accumulators without rebuilding a tree —
-        // and the fold stays byte-identical to the cold path.
+        // inside this block.
         let part = {
-            let db = read_bundle(&dir).map_err(located)?;
+            let db = exp.open_bundle(&dir).map_err(located)?;
+            read_wall += sw.lap("read_bundle");
             gauge.set(db.page_count() as i64);
             peak = peak.max(db.page_count());
             peak_gauge.set(peak as i64);
-
-            let cache = AnalysisCache::open(&dir.join(wmtree::tree::cache::CACHE_DIR_NAME), cfg);
-            let out = accumulate_cached(
-                &db,
-                &names,
-                filter,
-                &cfg.tree,
-                &site_meta,
-                cfg.workers,
-                &cache,
-            )
-            .map_err(|source| ShardError::Merge { source })?;
-            if cache.commit().is_err() {
-                wmtree_telemetry::counter!("tree.cache.disk.error").inc();
-            }
-            sites_rebuilt += out.sites_rebuilt;
-            sites_reused += out.sites_reused;
-            out.acc
+            let cache = AnalysisCache::open(&dir.join(CACHE_DIR_NAME), exp.config());
+            exp.accumulate(&db, &cache).map_err(located)?
         };
         gauge.set(0);
-        acc.merge(part)
+        sites_rebuilt += part.sites_rebuilt;
+        sites_reused += part.sites_reused;
+        build_wall += part.build_wall;
+        analyze_wall += part.analyze_wall;
+        fold_wall += part.fold_wall;
+        sw.lap("accumulate");
+        acc.merge(part.acc)
             .map_err(|source| ShardError::Merge { source })?;
+        fold_wall += sw.lap("merge");
         wmtree_telemetry::counter!("shard.merges.folded").inc();
     }
-    manifest.push_stage("fold_shards", sw.lap("fold_shards"));
 
     let merged = acc
-        .finish(cfg.workers)
+        .finish(exp.config().workers)
         .map_err(|source| ShardError::Merge { source })?;
-    manifest.push_stage("finish_merge", sw.lap("finish_merge"));
-
-    manifest.metrics = wmtree_telemetry::global().snapshot().since(&metrics_before);
-    manifest.timings = wmtree_telemetry::global().timings().snapshot();
+    fold_wall += sw.lap("finish_merge");
+    manifest.push_stage("read_bundle", read_wall);
+    manifest.push_stage("build_trees", build_wall);
+    manifest.push_stage("analyze", analyze_wall);
+    manifest.push_stage("fold_sites", fold_wall);
 
     let digest = merged.digest.clone();
     Ok(MergedRun {
-        results: ExperimentResults {
-            data: merged.data,
-            sims: merged.sims,
-            profile_stats: merged.profile_stats,
-            pages_discovered: digest.pages_discovered,
-            successful_visits: digest.successful_visits,
-            vetted_sites: digest.vetted_sites,
-            manifest,
-        },
+        results: ExperimentResults::from_merged(merged, manifest, &metrics_before),
         digest,
         peak_shard_pages: peak,
         sites_rebuilt,

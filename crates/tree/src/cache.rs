@@ -90,13 +90,11 @@ pub struct CacheManifest {
 
 impl CacheManifest {
     fn store(&self, dir: &Path) -> Result<(), BundleError> {
-        let tmp = dir.join(".CACHE.json.tmp");
         let body = serde_json::to_string(self)
             .map_err(|e| BundleError::json("serializing cache manifest", e))?;
-        std::fs::write(&tmp, format!("{body}\n")).map_err(|e| BundleError::io(&tmp, e))?;
         let path = dir.join(CACHE_MANIFEST_FILE);
-        std::fs::rename(&tmp, &path).map_err(|e| BundleError::io(&path, e))?;
-        Ok(())
+        wmtree_bundle::commit_atomic(&path, format!("{body}\n").as_bytes())
+            .map_err(|e| BundleError::io(&path, e))
     }
 }
 
@@ -450,8 +448,9 @@ fn evict_over_capacity(state: &mut CacheState) {
 /// not a recursive delete, so an unrelated file in the way surfaces as
 /// a later create error instead of being destroyed).
 fn discard_dir(dir: &Path) {
-    let _ = std::fs::remove_file(dir.join(CACHE_MANIFEST_FILE));
-    let _ = std::fs::remove_file(dir.join(".CACHE.json.tmp"));
+    let manifest = dir.join(CACHE_MANIFEST_FILE);
+    let _ = std::fs::remove_file(wmtree_bundle::commit_tmp_path(&manifest));
+    let _ = std::fs::remove_file(manifest);
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
             let name = entry.file_name();

@@ -65,12 +65,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
         .collect();
-    let data = ExperimentData::from_db(
+    let data = ExperimentData::from_db_parallel(
         &db,
         names,
         Some(tracking_list()),
         &TreeConfig::default(),
         &site_meta,
+        1,
     );
     let sims = wmtree::analysis::node_similarity::analyze_all(&data);
     let results = wmtree::ExperimentResults {
