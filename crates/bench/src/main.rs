@@ -39,14 +39,59 @@
 
 use wmtree::{Experiment, ExperimentConfig, Report, Scale};
 
+/// The usage lines, printed by `--help` and after an argument error.
+const USAGE: &str = "USAGE: repro [--scale tiny|small|medium|large|huge] \
+     [--table 1..7] [--fig 1..8] [--case unique-nodes|cookies|tracking] \
+     [--json FILE] [--csv DIR] [--telemetry DIR] [--no-telemetry] [--ablations] \
+     [--bundle DIR [--resume] [--max-sites N]] [--from-bundle DIR] \
+     [--shards N --shard-dir DIR [--plan-only]] \
+     [--shard-dir DIR --shard-id K [--max-sites N]] [--merge-shards DIR] \
+     [--workers N] [--list-bundles DIR]\n\n\
+     repro serve --root DIR [--addr HOST:PORT] [--http-workers N] \
+     [--job-workers N] [--cache N] [--batch-sites N]";
+
+/// Flags of the report command that take a value.
+const VALUE_FLAGS: &[&str] = &[
+    "--scale",
+    "--table",
+    "--fig",
+    "--case",
+    "--json",
+    "--csv",
+    "--telemetry",
+    "--bundle",
+    "--max-sites",
+    "--from-bundle",
+    "--shards",
+    "--shard-dir",
+    "--shard-id",
+    "--merge-shards",
+    "--workers",
+    "--list-bundles",
+];
+
+/// Flags of the report command that stand alone.
+const SWITCHES: &[&str] = &[
+    "--no-telemetry",
+    "--ablations",
+    "--resume",
+    "--plan-only",
+    "--help",
+    "-h",
+];
+
+/// Flags of `repro serve`, all of which take a value.
+const SERVE_FLAGS: &[&str] = &[
+    "--root",
+    "--addr",
+    "--http-workers",
+    "--job-workers",
+    "--cache",
+    "--batch-sites",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
 
     // `repro serve` hands the process over to the measurement service.
     if args.first().map(String::as_str) == Some("serve") {
@@ -54,19 +99,12 @@ fn main() {
         return;
     }
 
+    check_args(&args, VALUE_FLAGS, SWITCHES);
+    let get = |flag: &str| flag_value(&args, flag);
+    let count = |flag: &str| flag_count(&args, flag);
+
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "repro — regenerate the IMC'23 tables and figures\n\n\
-             USAGE: repro [--scale tiny|small|medium|large|huge] \
-             [--table 1..7] [--fig 1..8] [--case unique-nodes|cookies|tracking] \
-             [--json FILE] [--csv DIR] [--telemetry DIR] [--no-telemetry] [--ablations] \
-             [--bundle DIR [--resume] [--max-sites N]] [--from-bundle DIR] \
-             [--shards N --shard-dir DIR [--plan-only]] \
-             [--shard-dir DIR --shard-id K [--max-sites N]] [--merge-shards DIR] \
-             [--workers N] [--list-bundles DIR]\n\n\
-             repro serve --root DIR [--addr HOST:PORT] [--http-workers N] \
-             [--job-workers N] [--cache N] [--batch-sites N]"
-        );
+        println!("repro — regenerate the IMC'23 tables and figures\n\n{USAGE}");
         return;
     }
 
@@ -117,7 +155,8 @@ fn main() {
         }),
         None => Scale::Small,
     };
-    let workers = get("--workers").and_then(|s| s.parse::<usize>().ok());
+    let workers = count("--workers");
+    let max_sites = count("--max-sites");
     let config = |scale: Scale| {
         let mut cfg = ExperimentConfig::at_scale(scale);
         if let Some(w) = workers {
@@ -129,17 +168,12 @@ fn main() {
     // One-shard crawl: `--shard-dir DIR --shard-id K`. Crawls (or
     // resumes) that shard's bundle and exits — the report comes later,
     // from `--merge-shards`.
-    if let Some(id) = get("--shard-id") {
+    if let Some(id) = count("--shard-id") {
         let dir = get("--shard-dir").unwrap_or_else(|| {
             eprintln!("[repro] --shard-id needs --shard-dir DIR (where SHARDS.json lives)");
             std::process::exit(2);
         });
-        let id: usize = id.parse().unwrap_or_else(|_| {
-            eprintln!("[repro] --shard-id must be a shard number");
-            std::process::exit(2);
-        });
         let plan_dir = std::path::Path::new(&dir);
-        let max_sites = get("--max-sites").and_then(|s| s.parse::<usize>().ok());
         eprintln!("[repro] crawling shard {id} of plan {dir} at {scale:?} scale...");
         let exp = Experiment::new(config(scale));
         match wmtree_shard::crawl_shard(&exp, plan_dir, id, max_sites) {
@@ -168,13 +202,9 @@ fn main() {
     // the streaming merge (and the normal report path) once every
     // shard is crawled.
     let mut merge_dir = get("--merge-shards");
-    if let Some(n) = get("--shards") {
+    if let Some(n) = count("--shards") {
         let dir = get("--shard-dir").unwrap_or_else(|| {
             eprintln!("[repro] --shards needs --shard-dir DIR");
-            std::process::exit(2);
-        });
-        let n: usize = n.parse().unwrap_or_else(|_| {
-            eprintln!("[repro] --shards must be a shard count");
             std::process::exit(2);
         });
         let plan_dir = std::path::Path::new(&dir);
@@ -259,7 +289,6 @@ fn main() {
             eprintln!("[repro] {dir} already holds a bundle; pass --resume to continue it");
             std::process::exit(2);
         }
-        let max_sites = get("--max-sites").and_then(|s| s.parse::<usize>().ok());
         eprintln!(
             "[repro] running the five-profile experiment at {scale:?} scale into bundle {dir}..."
         );
@@ -406,20 +435,9 @@ fn main() {
 /// `repro serve`: run the measurement service until it drains (a
 /// client `POST /shutdown`, or the process is signalled).
 fn serve(args: &[String]) {
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let parse_n = |flag: &str| -> Option<usize> {
-        get(flag).map(|raw| {
-            raw.parse::<usize>().unwrap_or_else(|_| {
-                eprintln!("[repro] {flag} must be a number, got {raw:?}");
-                std::process::exit(2);
-            })
-        })
-    };
+    check_args(args, SERVE_FLAGS, &[]);
+    let get = |flag: &str| flag_value(args, flag);
+    let parse_n = |flag: &str| flag_count(args, flag);
     let root = get("--root").unwrap_or_else(|| {
         eprintln!("[repro] serve needs --root DIR (the job store root)");
         std::process::exit(2);
@@ -450,6 +468,48 @@ fn serve(args: &[String]) {
     );
     handle.wait();
     eprintln!("[repro] server drained; job store {root} is consistent");
+}
+
+/// Exit 2 with the usage lines unless every argument is a known flag
+/// and every value flag is followed by its value.
+fn check_args(args: &[String], value_flags: &[&str], switches: &[&str]) {
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        if value_flags.contains(&arg) {
+            if i + 1 == args.len() {
+                usage_error(&format!("{arg} needs a value"));
+            }
+            i += 2;
+        } else if switches.contains(&arg) {
+            i += 1;
+        } else {
+            usage_error(&format!("unknown argument {arg:?}"));
+        }
+    }
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("[repro] {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value following `flag`, if the flag is given.
+fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
+/// `flag`'s value as a count; a value that is not one exits 2.
+fn flag_count(args: &[String], flag: &str) -> Option<usize> {
+    flag_value(args, flag).map(|raw| {
+        raw.parse::<usize>().unwrap_or_else(|_| {
+            eprintln!("[repro] {flag} must be a number, got {raw:?}");
+            std::process::exit(2);
+        })
+    })
 }
 
 /// Table 1 is configuration, not measurement — print the profile matrix.

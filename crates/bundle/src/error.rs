@@ -1,7 +1,7 @@
 //! The bundle error type.
 //!
 //! Every fallible bundle operation reports a [`BundleError`] that names
-//! the exact artifact location (segment file, one-based line, byte
+//! the exact artifact location (segment file, one-based record, byte
 //! offset) wherever one exists — a corrupted archive is only fixable if
 //! the error says *where* the corruption is.
 
@@ -17,10 +17,9 @@ pub enum BundleError {
         /// The operating-system error.
         source: std::io::Error,
     },
-    /// A JSON payload failed to parse or serialize.
+    /// A JSON document (a manifest) failed to parse or serialize.
     Json {
-        /// What was being (de)serialized (e.g. `MANIFEST.json`,
-        /// `visits-000.seg:12`).
+        /// What was being (de)serialized (e.g. `MANIFEST.json`).
         context: String,
         /// The underlying JSON error.
         source: serde_json::Error,
@@ -29,7 +28,7 @@ pub enum BundleError {
     Corrupt {
         /// Segment file name (e.g. `visits-000.seg`).
         segment: String,
-        /// One-based line number of the corrupt record.
+        /// One-based record number of the corrupt record.
         line: usize,
         /// Byte offset of the start of the corrupt record.
         offset: u64,
@@ -48,7 +47,7 @@ pub enum BundleError {
     DanglingObject {
         /// Segment file name of the referencing record.
         segment: String,
-        /// One-based line number of the referencing record.
+        /// One-based record number of the referencing record.
         line: usize,
         /// Byte offset of the start of the referencing record.
         offset: u64,
@@ -104,7 +103,7 @@ impl std::fmt::Display for BundleError {
                 detail,
             } => write!(
                 f,
-                "corrupt record in {segment} line {line} (byte offset {offset}): {detail}"
+                "corrupt record {line} of {segment} (byte offset {offset}): {detail}"
             ),
             BundleError::ManifestMismatch { segment, detail } => {
                 write!(f, "manifest disagrees with {segment}: {detail}")
@@ -116,7 +115,7 @@ impl std::fmt::Display for BundleError {
                 object,
             } => write!(
                 f,
-                "{segment} line {line} (byte offset {offset}): visit references \
+                "{segment} record {line} (byte offset {offset}): visit references \
                  object {object} which the object store never recorded"
             ),
             BundleError::MetaMismatch {
@@ -193,7 +192,7 @@ mod tests {
         };
         let text = e.to_string();
         assert!(text.contains("visits-003.seg"), "{text}");
-        assert!(text.contains("line 41"), "{text}");
+        assert!(text.contains("record 41"), "{text}");
         assert!(text.contains("9217"), "{text}");
     }
 

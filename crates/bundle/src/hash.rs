@@ -1,9 +1,9 @@
 //! Content and record hashing.
 //!
 //! All bundle checksums are the workspace's stable FNV-1a/splitmix
-//! hash ([`wmtree_webgen::stable_hash`]) under domain-separating seeds,
-//! rendered as fixed-width lowercase hex so the archives are plain
-//! text, byte-stable, and diffable.
+//! hash ([`wmtree_webgen::stable_hash`]) under domain-separating seeds.
+//! Record frames store them as little-endian `u64`s; the manifest and
+//! error messages render them as fixed-width lowercase hex.
 
 use crate::error::BundleError;
 use crate::manifest::MANIFEST_FILE;
@@ -12,20 +12,19 @@ use wmtree_webgen::stable_hash;
 
 /// Domain seed for content addresses of stored objects.
 const OBJECT_SEED: u64 = 0x776d_6275_6f62_6a31; // "wmbuobj1"
-/// Domain seed for per-record line checksums.
+/// Domain seed for per-record payload checksums.
 const LINE_SEED: u64 = 0x776d_6275_6c6e_3131; // "wmbuln11"
 /// Domain seed (initial value) for the per-segment rolling chain.
 const CHAIN_SEED: u64 = 0x776d_6275_6368_6e31; // "wmbuchn1"
 /// Domain seed for whole-bundle content hashes.
 const BUNDLE_SEED: u64 = 0x776d_6275_6e64_6c31; // "wmbundl1"
 
-/// Content address of a serialized object payload.
+/// Content address of an encoded object payload.
 pub fn object_hash(payload: &[u8]) -> u64 {
     stable_hash(OBJECT_SEED, payload)
 }
 
-/// Checksum of one record line's payload (the JSON after the checksum
-/// column).
+/// Checksum of one record's payload, stored in its frame header.
 pub fn line_checksum(payload: &[u8]) -> u64 {
     stable_hash(LINE_SEED, payload)
 }
@@ -35,8 +34,8 @@ pub fn chain_start() -> u64 {
     CHAIN_SEED
 }
 
-/// Fold one full record line (checksum column + payload, no trailing
-/// newline) into a segment's rolling chain.
+/// Fold one record's frame header (length + payload checksum) into a
+/// segment's rolling chain.
 pub fn chain_fold(chain: u64, line: &[u8]) -> u64 {
     stable_hash(chain, line)
 }
@@ -56,7 +55,8 @@ pub fn bundle_content_hash(dir: &Path) -> Result<String, BundleError> {
     Ok(to_hex(stable_hash(BUNDLE_SEED, &bytes)))
 }
 
-/// Render a hash as the fixed-width lowercase hex the archive stores.
+/// Render a hash as fixed-width lowercase hex, as the manifest stores
+/// chains.
 pub fn to_hex(h: u64) -> String {
     format!("{h:016x}")
 }

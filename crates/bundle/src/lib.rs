@@ -3,13 +3,13 @@
 //! A *bundle* is an on-disk archive of one crawl run:
 //!
 //! - **Object store** — every [`wmtree_browser::VisitResult`] payload is
-//!   serialized canonically, content-addressed with a stable 64-bit
-//!   hash of those canonical bytes as stored, and stored exactly once.
+//!   encoded by the binary [`codec`], content-addressed with a stable
+//!   64-bit hash of those bytes as stored, and stored exactly once.
 //!   Identical visit outcomes (common for failure records and idle
 //!   profiles) are deduplicated.
 //! - **Visit log** — an append-only sequence of small reference records
 //!   `(site, url, profile, object-hash)` plus per-site *checkpoint*
-//!   records, framed one per line with a checksum header.
+//!   records, each a length-prefixed, checksummed binary frame.
 //! - **Manifest** — `MANIFEST.json`, rewritten atomically after every
 //!   checkpoint, pins the record count and rolling chain checksum of
 //!   every segment. The manifest is the commit point: bytes beyond the
@@ -22,17 +22,19 @@
 //!
 //! [`BundleReader`] plays a bundle back through one pipeline — frame
 //! each segment sequentially, decode records in bounded parallel
-//! batches, move each payload out on its last reference — verifying
-//! every checksum and every content address against the stored bytes;
-//! the first corruption surfaces as an error naming the segment, line,
-//! and byte offset. [`BundleWriter::resume`] verifies through the same
-//! pipeline. [`verify_bundle`] is the lenient whole-archive scan used
-//! by `wmtree-lint check-artifacts`; all three decode objects through
-//! the one [`decode_object`].
+//! batches straight into typed structs, move each payload out on its
+//! last reference — verifying every checksum and every content address
+//! against the stored bytes; the first corruption surfaces as an error
+//! naming the segment, record, and byte offset.
+//! [`BundleWriter::resume`] verifies through the same pipeline.
+//! [`verify_bundle`] is the lenient whole-archive scan used by
+//! `wmtree-lint check-artifacts`; all three decode objects through the
+//! one [`decode_object`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod error;
 pub mod hash;
 pub mod manifest;

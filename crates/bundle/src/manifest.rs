@@ -11,8 +11,10 @@ use crate::error::BundleError;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
-/// Format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+/// Format version this build reads and writes. Version 2 is the
+/// binary framing and [`crate::codec`] records; version 1 (text lines
+/// of JSON) is rejected.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Manifest file name within a bundle directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";

@@ -4,14 +4,16 @@
 //! by [`BundleReader::read_visits`] and [`BundleWriter::resume`]:
 //!
 //! 1. **Frame.** Each segment is read sequentially by a [`LogStream`]:
-//!    line checksums, the per-segment chain the manifest pins, and the
-//!    `bundle.bytes.read` counter (span `bundle.read.frame`).
+//!    length prefixes bounded by the file, record checksums, the
+//!    per-segment chain the manifest pins, and the `bundle.bytes.read`
+//!    counter (span `bundle.read.frame`).
 //! 2. **Decode.** Framed records are decoded in bounded batches — at
 //!    most `DECODE_BATCH_BYTES` (16 MiB) of raw records in flight,
 //!    never a whole segment — through the workspace's slot-per-item
-//!    [`par_map_min`] (span `bundle.read.decode`). Objects go through
-//!    [`decode_object`], which verifies each content address against
-//!    the stored bytes.
+//!    [`par_map_min`] (span `bundle.read.decode`), by the binary
+//!    [`codec`](crate::codec) straight into typed records. Objects go
+//!    through [`decode_object`], which verifies each content address
+//!    against the stored bytes.
 //! 3. **Move.** The small visit log is decoded first, so every
 //!    object's reference count is known before its payload is decoded.
 //!    Resolving visits in log order then moves each payload out on its
@@ -24,7 +26,7 @@
 //! [`BundleWriter::resume`]: crate::BundleWriter::resume
 
 use crate::error::BundleError;
-use crate::hash::from_hex;
+use crate::hash::to_hex;
 use crate::manifest::{Manifest, SegmentMeta};
 use crate::record::{decode_object, decode_record, BundleVisit, Record, VisitRef};
 use crate::segment::{LogStream, RecordLoc};
@@ -39,7 +41,7 @@ use wmtree_telemetry::par::par_map_min;
 const DECODE_BATCH_BYTES: usize = 16 << 20;
 
 /// Per-worker record floor of a decode batch: one object record is
-/// tens of kilobytes of JSON, so a handful already amortizes a spawn.
+/// kilobytes of fields, so a handful already amortizes a spawn.
 const MIN_RECORDS_PER_WORKER: usize = 8;
 
 /// Verifying reader over a bundle directory.
@@ -100,7 +102,7 @@ pub(crate) fn play(
     // region ends at a checkpoint — the manifest is only ever stored
     // right after one.
     let n_profiles = manifest.meta.n_profiles;
-    let mut refs: Vec<(RecordLoc, VisitRef, u64)> = Vec::new();
+    let mut refs: Vec<(RecordLoc, VisitRef)> = Vec::new();
     let mut sites = BTreeSet::new();
     let mut checkpoints: u64 = 0;
     let mut since_checkpoint: u64 = 0;
@@ -118,10 +120,7 @@ pub(crate) fn play(
                             vr.profile
                         )));
                     }
-                    let hash = from_hex(&vr.object).ok_or_else(|| {
-                        loc.corrupt(format!("malformed object hash `{}`", vr.object))
-                    })?;
-                    refs.push((loc, vr, hash));
+                    refs.push((loc, vr));
                     since_checkpoint += 1;
                 }
                 Record::Checkpoint(cp) => {
@@ -156,8 +155,8 @@ pub(crate) fn play(
     // Object log: every object is verified; only referenced payloads
     // are kept.
     let mut uses: BTreeMap<u64, usize> = BTreeMap::new();
-    for (_, _, hash) in &refs {
-        *uses.entry(*hash).or_default() += 1;
+    for (_, vr) in &refs {
+        *uses.entry(vr.object).or_default() += 1;
     }
     let mut objects = BTreeSet::new();
     let mut payloads: BTreeMap<u64, VisitResult> = BTreeMap::new();
@@ -187,7 +186,8 @@ pub(crate) fn play(
 
     // Resolve in log order, moving each payload on its last reference.
     let mut visits = Vec::with_capacity(refs.len());
-    for (loc, vr, hash) in refs {
+    for (loc, vr) in refs {
+        let hash = vr.object;
         let left = uses.entry(hash).or_default();
         *left = left.saturating_sub(1);
         let visit = if *left == 0 {
@@ -200,7 +200,7 @@ pub(crate) fn play(
                 segment: loc.segment,
                 line: loc.line,
                 offset: loc.offset,
-                object: vr.object,
+                object: to_hex(hash),
             });
         };
         visits.push(BundleVisit {
@@ -230,12 +230,12 @@ fn decode_log<T: Send>(
     dir: &Path,
     metas: &[SegmentMeta],
     workers: usize,
-    decode: impl Fn(&RecordLoc, &str) -> Result<T, BundleError> + Sync,
+    decode: impl Fn(&RecordLoc, &[u8]) -> Result<T, BundleError> + Sync,
     mut sink: impl FnMut(RecordLoc, T) -> Result<(), BundleError>,
 ) -> Result<Vec<u64>, BundleError> {
     let mut stream = LogStream::open(dir, metas);
     loop {
-        let mut batch: Vec<(RecordLoc, String)> = Vec::new();
+        let mut batch: Vec<(RecordLoc, Vec<u8>)> = Vec::new();
         let mut bytes = 0usize;
         let mut end = None;
         {

@@ -1,13 +1,13 @@
-//! The record types the segment logs store.
+//! The record types the segment logs store, and their decoders.
 
+use crate::codec::{self, Codec};
 use crate::error::BundleError;
-use crate::hash::{from_hex, object_hash, to_hex};
+use crate::hash::{object_hash, to_hex};
 use crate::segment::RecordLoc;
-use serde::{Deserialize, Serialize};
 use wmtree_browser::VisitResult;
 
 /// One record of the visit log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Record {
     /// One profile's visit of one page, referencing its payload in the
     /// object store by content hash.
@@ -20,7 +20,7 @@ pub enum Record {
 
 /// A visit record: the `(site, page, profile)` coordinates plus the
 /// content address of the stored [`VisitResult`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VisitRef {
     /// Registerable domain of the site.
     pub site: String,
@@ -28,12 +28,12 @@ pub struct VisitRef {
     pub url: String,
     /// Profile index (Table 1 order).
     pub profile: usize,
-    /// Content hash (hex) of the visit payload in the object store.
-    pub object: String,
+    /// Content address of the visit payload in the object store.
+    pub object: u64,
 }
 
 /// A site-completion checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// The completed site (registerable domain).
     pub site: String,
@@ -44,84 +44,65 @@ pub struct Checkpoint {
 /// One visit payload encoded for the object store: its content address
 /// and the object-log record that stores it.
 ///
-/// The record is `{"hash":"<hex>","visit":<canonical>}` — the exact
-/// bytes serde emits for a `{hash, visit}` struct — spliced around the
-/// visit's canonical JSON so the payload is serialized once. The
-/// content address is [`object_hash`] over those canonical bytes as
-/// stored, which is what [`decode_object`] verifies.
+/// The record is the address as 8 little-endian bytes followed by the
+/// visit's [`codec`](crate::codec) bytes; the address is
+/// [`object_hash`] over those visit bytes as stored, which is what
+/// [`decode_object`] verifies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedObject {
-    /// Content address of the canonical visit bytes.
+    /// Content address of the encoded visit bytes.
     pub hash: u64,
     /// The object-log record payload.
-    pub entry: String,
+    pub entry: Vec<u8>,
 }
 
-/// Framing of an object-log record around the hex content address and
-/// the canonical visit bytes.
-const ENTRY_HEAD: &str = "{\"hash\":\"";
-const ENTRY_MID: &str = "\",\"visit\":";
-const ENTRY_TAIL: char = '}';
+/// Bytes of the content address that leads an object record.
+const ADDRESS_LEN: usize = 8;
 
 impl EncodedObject {
-    /// Serialize `visit` canonically, address it, and frame its
-    /// object-log record. Runs wherever the visit was produced (the
-    /// crawl workers), so the writer only dedups and appends.
-    pub fn encode(visit: &VisitResult) -> Result<EncodedObject, BundleError> {
-        // Scope guard only: the span's clock reads stay inside
-        // telemetry's own snapshot, never the encoded bytes.
-        let _span = wmtree_telemetry::span("bundle.encode"); // wmtree-lint: allow(WM0301)
-        let canonical = serde_json::to_string(visit)
-            .map_err(|e| BundleError::json("serializing visit payload", e))?;
-        let hash = object_hash(canonical.as_bytes());
-        let mut entry =
-            String::with_capacity(ENTRY_HEAD.len() + 16 + ENTRY_MID.len() + canonical.len() + 1);
-        entry.push_str(ENTRY_HEAD);
-        entry.push_str(&to_hex(hash));
-        entry.push_str(ENTRY_MID);
-        entry.push_str(&canonical);
-        entry.push(ENTRY_TAIL);
-        Ok(EncodedObject { hash, entry })
+    /// Encode `visit`, address it, and frame its object-log record.
+    /// Runs wherever the visit was produced (the crawl workers), so the
+    /// writer only dedups and appends.
+    pub fn encode(visit: &VisitResult) -> EncodedObject {
+        let _span = wmtree_telemetry::span("bundle.encode");
+        let mut entry = vec![0u8; ADDRESS_LEN];
+        visit.encode(&mut entry);
+        let hash = object_hash(&entry[ADDRESS_LEN..]);
+        entry[..ADDRESS_LEN].copy_from_slice(&hash.to_le_bytes());
+        EncodedObject { hash, entry }
     }
 }
 
 /// Decode and verify one object-log record: the workspace's only
-/// object decoder. The framing must be exactly what
-/// [`EncodedObject::encode`] writes, the content address must equal
-/// [`object_hash`] of the visit bytes *as stored*, and those bytes must
-/// parse as a [`VisitResult`]. Every defect is a
+/// object decoder. The record must hold an address, the address must
+/// equal [`object_hash`] of the visit bytes *as stored*, and those
+/// bytes must decode as exactly one [`VisitResult`]. Every defect is a
 /// [`BundleError::Corrupt`] at `loc`.
-pub fn decode_object(loc: &RecordLoc, payload: &str) -> Result<(u64, VisitResult), BundleError> {
-    let framed = payload.strip_prefix(ENTRY_HEAD).and_then(|rest| {
-        let hex = rest.get(..16)?;
-        let visit = rest[16..]
-            .strip_prefix(ENTRY_MID)?
-            .strip_suffix(ENTRY_TAIL)?;
-        Some((hex, visit))
-    });
-    let Some((hex, visit)) = framed else {
-        return Err(loc.corrupt(
-            "malformed object entry: expected {\"hash\":\"<16 hex digits>\",\"visit\":<payload>}",
-        ));
+pub fn decode_object(loc: &RecordLoc, payload: &[u8]) -> Result<(u64, VisitResult), BundleError> {
+    let Some((address, visit)) = payload.split_first_chunk::<ADDRESS_LEN>() else {
+        return Err(loc.corrupt(format!(
+            "malformed object entry: {} byte(s), shorter than its {ADDRESS_LEN}-byte content address",
+            payload.len()
+        )));
     };
-    let hash =
-        from_hex(hex).ok_or_else(|| loc.corrupt(format!("malformed object hash `{hex}`")))?;
-    let actual = object_hash(visit.as_bytes());
+    let hash = u64::from_le_bytes(*address);
+    let actual = object_hash(visit);
     if actual != hash {
         return Err(loc.corrupt(format!(
-            "content address mismatch: entry says {hex}, stored payload hashes to {}",
+            "content address mismatch: entry says {}, stored payload hashes to {}",
+            to_hex(hash),
             to_hex(actual)
         )));
     }
-    let visit = serde_json::from_str(visit)
+    let visit = codec::decode(visit)
         .map_err(|e| loc.corrupt(format!("unparseable object payload: {e}")))?;
     Ok((hash, visit))
 }
 
-/// Decode one visit-log record; a parse failure is a
+/// Decode one visit-log record; a decode failure is a
 /// [`BundleError::Corrupt`] at `loc`.
-pub fn decode_record(loc: &RecordLoc, payload: &str) -> Result<Record, BundleError> {
-    serde_json::from_str(payload).map_err(|e| loc.corrupt(format!("unparseable record: {e}")))
+pub fn decode_record(loc: &RecordLoc, payload: &[u8]) -> Result<Record, BundleError> {
+    codec::decode(payload).map_err(|e| loc.corrupt(format!("unparseable record: {e}")))
 }
 
 /// A fully resolved visit streamed out of a bundle: the coordinates of
@@ -149,24 +130,22 @@ mod tests {
     use wmtree_url::Url;
 
     #[test]
-    fn record_json_roundtrip() {
-        let rec = Record::Visit(VisitRef {
-            site: "a.com".into(),
-            url: "https://www.a.com/p".into(),
-            profile: 3,
-            object: "00ff00ff00ff00ff".into(),
-        });
-        let json = serde_json::to_string(&rec).unwrap();
-        let back: Record = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, rec);
-
-        let cp = Record::Checkpoint(Checkpoint {
-            site: "a.com".into(),
-            visits: 20,
-        });
-        let json = serde_json::to_string(&cp).unwrap();
-        let back: Record = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, cp);
+    fn records_roundtrip() {
+        for rec in [
+            Record::Visit(VisitRef {
+                site: "a.com".into(),
+                url: "https://www.a.com/p".into(),
+                profile: 3,
+                object: 0x00ff_00ff_00ff_00ff,
+            }),
+            Record::Checkpoint(Checkpoint {
+                site: "a.com".into(),
+                visits: 20,
+            }),
+        ] {
+            let bytes = codec::encode(&rec);
+            assert_eq!(decode_record(&loc(), &bytes).unwrap(), rec);
+        }
     }
 
     fn loc() -> RecordLoc {
@@ -178,25 +157,13 @@ mod tests {
     }
 
     #[test]
-    fn encoded_entry_is_what_serde_emits_and_decodes_back() {
-        #[derive(Serialize)]
-        struct Entry {
-            hash: String,
-            visit: VisitResult,
-        }
+    fn encoded_entry_is_address_then_codec_bytes_and_decodes_back() {
         let visit = VisitResult::failed(Url::parse("https://www.a.com/").unwrap());
-        let encoded = EncodedObject::encode(&visit).unwrap();
-        let canonical = serde_json::to_string(&visit).unwrap();
-        assert_eq!(encoded.hash, object_hash(canonical.as_bytes()));
-        let serde_entry = serde_json::to_string(&Entry {
-            hash: to_hex(encoded.hash),
-            visit: visit.clone(),
-        })
-        .unwrap();
-        assert_eq!(
-            encoded.entry, serde_entry,
-            "splice must match serde byte for byte"
-        );
+        let encoded = EncodedObject::encode(&visit);
+        let body = codec::encode(&visit);
+        assert_eq!(encoded.hash, object_hash(&body));
+        assert_eq!(encoded.entry[..ADDRESS_LEN], encoded.hash.to_le_bytes());
+        assert_eq!(encoded.entry[ADDRESS_LEN..], body[..]);
         assert_eq!(
             decode_object(&loc(), &encoded.entry).unwrap(),
             (encoded.hash, visit)
@@ -206,19 +173,23 @@ mod tests {
     #[test]
     fn decode_object_rejects_defects_at_the_record() {
         let visit = VisitResult::failed(Url::parse("https://www.a.com/").unwrap());
-        let entry = EncodedObject::encode(&visit).unwrap().entry;
-        let reframed = entry.replacen("{\"hash\":", "{ \"hash\":", 1);
+        let entry = EncodedObject::encode(&visit).entry;
+        let short = entry[..ADDRESS_LEN - 1].to_vec();
         let mut readdressed = entry.clone();
-        readdressed.replace_range(9..25, "0123456789abcdef");
-        let retyped = format!("{}{}", &entry[..35], "[1]}");
-        let retyped = retyped.replacen(&entry[9..25], &to_hex(object_hash(b"[1]")), 1);
+        readdressed[..ADDRESS_LEN].copy_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
+        // A correctly addressed body that is not a visit.
+        let mut retyped = object_hash(&[7]).to_le_bytes().to_vec();
+        retyped.push(7);
         for (bad, expect) in [
-            (reframed.as_str(), "malformed object entry"),
-            (&entry[..entry.len() - 1], "content address mismatch"),
-            (readdressed.as_str(), "content address mismatch"),
-            (retyped.as_str(), "unparseable object payload"),
+            (short, "malformed object entry"),
+            (
+                entry[..entry.len() - 1].to_vec(),
+                "content address mismatch",
+            ),
+            (readdressed, "content address mismatch"),
+            (retyped, "unparseable object payload"),
         ] {
-            match decode_object(&loc(), bad) {
+            match decode_object(&loc(), &bad) {
                 Err(BundleError::Corrupt {
                     segment,
                     line,

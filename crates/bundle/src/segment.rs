@@ -2,16 +2,20 @@
 //!
 //! A log is a sequence of segment files (`<prefix>-000.seg`,
 //! `<prefix>-001.seg`, ...), each holding at most `segment_capacity`
-//! records. A record is one text line:
+//! records. A record is one binary frame:
 //!
 //! ```text
-//! <checksum:016x> <payload JSON>\n
+//! [payload length: u32 LE][checksum of the payload: u64 LE][payload]
 //! ```
 //!
-//! The checksum column covers the payload bytes; additionally every
-//! segment carries a rolling *chain* checksum (folded over each full
-//! line) that the manifest pins, so a reordered, truncated, or spliced
-//! segment is detected even when each individual line still verifies.
+//! The checksum covers the payload bytes; additionally every segment
+//! carries a rolling *chain* checksum, folded over each record's
+//! 12-byte header (length and checksum, so transitively the payload),
+//! that the manifest pins — a reordered, truncated, or spliced segment
+//! is detected even when each record still verifies. A length prefix is
+//! checked against the bytes left in the file before its payload is
+//! read, so a corrupt header cannot make a reader allocate past the
+//! file.
 //!
 //! Readers consume exactly the record counts the manifest declares and
 //! ignore trailing bytes — those are uncommitted leftovers of a crash,
@@ -21,11 +25,11 @@ use crate::error::BundleError;
 use crate::hash::{chain_fold, chain_start, from_hex, line_checksum, to_hex};
 use crate::manifest::SegmentMeta;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Width of the checksum column (16 hex digits + one space).
-const HEADER_WIDTH: usize = 17;
+/// Bytes of a record header: `u32` payload length + `u64` checksum.
+pub const HEADER_LEN: usize = 12;
 
 /// Deterministic segment file name: `<prefix>-<idx:03>.seg`.
 pub fn segment_name(prefix: &str, idx: usize) -> String {
@@ -37,9 +41,9 @@ pub fn segment_name(prefix: &str, idx: usize) -> String {
 pub struct RecordLoc {
     /// Segment file name.
     pub segment: String,
-    /// One-based line number within the segment.
+    /// One-based record number within the segment.
     pub line: usize,
-    /// Byte offset of the start of the line within the segment.
+    /// Byte offset of the start of the record within the segment.
     pub offset: u64,
 }
 
@@ -55,42 +59,150 @@ impl RecordLoc {
     }
 }
 
-/// Split a raw line into `(checksum, payload)`, without verifying.
-/// Returns a static description of the framing defect on failure.
-pub fn split_line(line: &str) -> Result<(u64, &str), &'static str> {
-    let line = line.strip_suffix('\n').unwrap_or(line);
-    if line.len() < HEADER_WIDTH {
-        return Err("record shorter than its checksum column");
-    }
-    let (head, payload) = line.split_at(HEADER_WIDTH);
-    if !head.ends_with(' ') {
-        return Err("missing separator after checksum column");
-    }
-    match from_hex(&head[..HEADER_WIDTH - 1]) {
-        Some(h) => Ok((h, payload)),
-        None => Err("malformed checksum column"),
-    }
+/// The header that frames `payload`: its length and checksum. `None`
+/// for a payload of 4 GiB or more, which a `u32` length cannot frame.
+pub fn frame_header(payload: &[u8]) -> Option<[u8; HEADER_LEN]> {
+    let len = u32::try_from(payload.len()).ok()?;
+    let mut header = [0u8; HEADER_LEN];
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&line_checksum(payload).to_le_bytes());
+    Some(header)
 }
 
-/// Decode one raw record line as UTF-8 (corruption can produce invalid
-/// byte sequences the checksum column never gets to see).
-pub fn decode_line(buf: &[u8]) -> Result<&str, String> {
-    std::str::from_utf8(buf)
-        .map_err(|e| format!("record is not valid UTF-8 from byte {}", e.valid_up_to()))
+/// What [`SegmentReader::next_frame`] found.
+#[derive(Debug)]
+pub enum Frame {
+    /// A record whose payload verified against its checksum.
+    Record(RecordLoc, Vec<u8>),
+    /// A record whose payload fails its checksum. Its length prefix
+    /// fit the file, so the next record is still located: a lenient
+    /// scan may go on.
+    Mismatch(RecordLoc, String),
+    /// A header cut short, or one declaring more bytes than the file
+    /// holds: nothing past it can be located.
+    Broken(RecordLoc, String),
+    /// The file ends exactly at a record boundary.
+    End,
 }
 
-/// Verify one line's checksum column against its payload.
-pub fn verify_line(line: &str) -> Result<&str, String> {
-    let (declared, payload) = split_line(line).map_err(|e| e.to_string())?;
-    let actual = line_checksum(payload.as_bytes());
-    if actual != declared {
-        return Err(format!(
-            "checksum mismatch: record declares {}, payload hashes to {}",
-            to_hex(declared),
-            to_hex(actual)
-        ));
+/// Read-buffer size of a [`SegmentReader`]: object records run to
+/// kilobytes, past `BufReader`'s 8 KiB default.
+const READ_BUFFER: usize = 1 << 20;
+
+/// Sequential frame reader over one segment file — the framing layer
+/// of every read path (bundle playback, resume, `verify_bundle`, the
+/// tree cache's open and verify). Folds every located header into the
+/// segment's chain and counts `bundle.bytes.read`.
+#[derive(Debug)]
+pub struct SegmentReader {
+    name: String,
+    path: PathBuf,
+    reader: BufReader<File>,
+    len: u64,
+    offset: u64,
+    records: usize,
+    chain: u64,
+}
+
+impl SegmentReader {
+    /// Open the segment `name` in `dir`.
+    pub fn open(dir: &Path, name: &str) -> Result<SegmentReader, BundleError> {
+        let path = dir.join(name);
+        let file = File::open(&path).map_err(|e| BundleError::io(&path, e))?;
+        let len = file
+            .metadata()
+            .map_err(|e| BundleError::io(&path, e))?
+            .len();
+        Ok(SegmentReader {
+            name: name.to_string(),
+            path,
+            reader: BufReader::with_capacity(READ_BUFFER, file),
+            len,
+            offset: 0,
+            records: 0,
+            chain: chain_start(),
+        })
     }
-    Ok(payload)
+
+    /// Bytes of the file consumed by the frames read so far.
+    pub fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    /// Length of the file when it was opened.
+    pub fn file_len(&self) -> u64 {
+        self.len
+    }
+
+    /// Frames read so far.
+    pub fn records(&self) -> usize {
+        self.records
+    }
+
+    /// The chain over every header read so far, as the manifest
+    /// renders it.
+    pub fn chain(&self) -> String {
+        to_hex(self.chain)
+    }
+
+    /// Read the next frame. `Err` only for I/O failures; every defect
+    /// of the bytes is a located [`Frame`].
+    pub fn next_frame(&mut self) -> Result<Frame, BundleError> {
+        let left = self.len - self.offset;
+        if left == 0 {
+            return Ok(Frame::End);
+        }
+        let loc = RecordLoc {
+            segment: self.name.clone(),
+            line: self.records + 1,
+            offset: self.offset,
+        };
+        if left < HEADER_LEN as u64 {
+            return Ok(Frame::Broken(
+                loc,
+                format!("record header cut short: {left} of {HEADER_LEN} bytes"),
+            ));
+        }
+        let mut header = [0u8; HEADER_LEN];
+        self.read(&mut header)?;
+        let mut len = [0u8; 4];
+        len.copy_from_slice(&header[..4]);
+        let len = u32::from_le_bytes(len);
+        let mut declared = [0u8; 8];
+        declared.copy_from_slice(&header[4..]);
+        let declared = u64::from_le_bytes(declared);
+        let body_left = left - HEADER_LEN as u64;
+        if u64::from(len) > body_left {
+            return Ok(Frame::Broken(
+                loc,
+                format!("record length {len} exceeds the {body_left} byte(s) left in the segment"),
+            ));
+        }
+        let mut payload = vec![0u8; len as usize];
+        self.read(&mut payload)?;
+        self.offset += (HEADER_LEN + payload.len()) as u64;
+        self.records += 1;
+        self.chain = chain_fold(self.chain, &header);
+        wmtree_telemetry::counter!("bundle.bytes.read").add((HEADER_LEN + payload.len()) as u64);
+        let actual = line_checksum(&payload);
+        if actual != declared {
+            return Ok(Frame::Mismatch(
+                loc,
+                format!(
+                    "checksum mismatch: record declares {}, payload hashes to {}",
+                    to_hex(declared),
+                    to_hex(actual)
+                ),
+            ));
+        }
+        Ok(Frame::Record(loc, payload))
+    }
+
+    fn read(&mut self, buf: &mut [u8]) -> Result<(), BundleError> {
+        self.reader
+            .read_exact(buf)
+            .map_err(|e| BundleError::io(&self.path, e))
+    }
 }
 
 /// Writer over a rotating segment log.
@@ -140,7 +252,7 @@ impl LogWriter {
 
     /// Append one record payload. Rotates to a new segment when the
     /// current one is full.
-    pub fn append(&mut self, payload: &str) -> Result<(), BundleError> {
+    pub fn append(&mut self, payload: &[u8]) -> Result<(), BundleError> {
         let need_rotate = match self.metas.last() {
             None => true,
             Some(m) => m.records as usize >= self.capacity,
@@ -158,8 +270,8 @@ impl LogWriter {
         let Some(meta) = self.metas.last_mut() else {
             unreachable!("rotation guarantees an open segment");
         };
+        let path = self.dir.join(&meta.name);
         if self.file.is_none() {
-            let path = self.dir.join(&meta.name);
             let file = OpenOptions::new()
                 .create(true)
                 .append(true)
@@ -167,17 +279,22 @@ impl LogWriter {
                 .map_err(|e| BundleError::io(&path, e))?;
             self.file = Some(BufWriter::new(file));
         }
-        let line = format!("{} {payload}", to_hex(line_checksum(payload.as_bytes())));
         let Some(out) = self.file.as_mut() else {
             unreachable!("opened above");
         };
-        let path = self.dir.join(&meta.name);
-        out.write_all(line.as_bytes())
-            .and_then(|_| out.write_all(b"\n"))
+        let Some(header) = frame_header(payload) else {
+            let detail = format!(
+                "a {}-byte record exceeds the 4 GiB frame limit",
+                payload.len()
+            );
+            return Err(BundleError::io(&path, std::io::Error::other(detail)));
+        };
+        out.write_all(&header)
+            .and_then(|_| out.write_all(payload))
             .map_err(|e| BundleError::io(&path, e))?;
-        wmtree_telemetry::counter!("bundle.bytes.written").add(line.len() as u64 + 1);
+        wmtree_telemetry::counter!("bundle.bytes.written").add((HEADER_LEN + payload.len()) as u64);
         let chain = from_hex(&meta.chain).unwrap_or_else(chain_start);
-        meta.chain = to_hex(chain_fold(chain, line.as_bytes()));
+        meta.chain = to_hex(chain_fold(chain, &header));
         meta.records += 1;
         Ok(())
     }
@@ -192,24 +309,17 @@ impl LogWriter {
     }
 }
 
-/// Read-buffer size of a [`LogStream`]: object records run to tens of
-/// kilobytes, far past `BufReader`'s 8 KiB default.
-const READ_BUFFER: usize = 1 << 20;
-
 /// Fail-fast streaming reader over a segment log, consuming exactly the
-/// records the manifest declares and verifying line checksums and the
-/// per-segment chain along the way — the framing stage of every read
-/// path (bundle playback, bundle resume, tree-cache open).
+/// records the manifest declares and verifying checksums and the
+/// per-segment chain along the way — the framing stage of every
+/// fail-fast read path (bundle playback, bundle resume, tree-cache
+/// open).
 #[derive(Debug)]
 pub struct LogStream {
     dir: PathBuf,
     metas: Vec<SegmentMeta>,
     seg_idx: usize,
-    reader: Option<BufReader<File>>,
-    line_no: usize,
-    offset: u64,
-    records_left: u64,
-    chain: u64,
+    reader: Option<SegmentReader>,
     /// Committed byte length of every fully verified segment.
     committed: Vec<u64>,
 }
@@ -222,10 +332,6 @@ impl LogStream {
             metas: metas.to_vec(),
             seg_idx: 0,
             reader: None,
-            line_no: 0,
-            offset: 0,
-            records_left: metas.first().map(|m| m.records).unwrap_or(0),
-            chain: chain_start(),
             committed: Vec::with_capacity(metas.len()),
         }
     }
@@ -239,91 +345,59 @@ impl LogStream {
 
     /// The next record payload with its location, or `None` when every
     /// declared record has been read. Verification failures surface as
-    /// `Some(Err(..))`.
-    pub fn next_record(&mut self) -> Option<Result<(RecordLoc, String), BundleError>> {
+    /// `Some(Err(..))`, after which the stream is exhausted.
+    pub fn next_record(&mut self) -> Option<Result<(RecordLoc, Vec<u8>), BundleError>> {
+        let next = self.advance();
+        if matches!(next, Some(Err(_))) {
+            self.seg_idx = self.metas.len(); // fuse
+        }
+        next
+    }
+
+    fn advance(&mut self) -> Option<Result<(RecordLoc, Vec<u8>), BundleError>> {
         loop {
-            if self.seg_idx >= self.metas.len() {
-                return None;
-            }
-            if self.records_left == 0 {
-                // Segment done: the chain must match the manifest.
-                let meta = &self.metas[self.seg_idx];
-                if to_hex(self.chain) != meta.chain {
-                    let detail = format!(
-                        "segment chain is {}, manifest declares {}",
-                        to_hex(self.chain),
-                        meta.chain
-                    );
-                    let segment = meta.name.clone();
-                    self.seg_idx = self.metas.len(); // fuse
-                    return Some(Err(BundleError::ManifestMismatch { segment, detail }));
-                }
-                self.committed.push(self.offset);
-                self.seg_idx += 1;
-                self.reader = None;
-                self.line_no = 0;
-                self.offset = 0;
-                self.chain = chain_start();
-                self.records_left = self.metas.get(self.seg_idx).map(|m| m.records).unwrap_or(0);
-                continue;
-            }
-            let meta = &self.metas[self.seg_idx];
+            let meta = self.metas.get(self.seg_idx)?;
             if self.reader.is_none() {
-                let path = self.dir.join(&meta.name);
-                match File::open(&path) {
-                    Ok(f) => self.reader = Some(BufReader::with_capacity(READ_BUFFER, f)),
-                    Err(e) => {
-                        self.seg_idx = self.metas.len();
-                        return Some(Err(BundleError::io(path, e)));
-                    }
+                match SegmentReader::open(&self.dir, &meta.name) {
+                    Ok(r) => self.reader = Some(r),
+                    Err(e) => return Some(Err(e)),
                 }
             }
             let Some(reader) = self.reader.as_mut() else {
                 unreachable!("opened above");
             };
-            let mut buf = Vec::new();
-            let read = match reader.read_until(b'\n', &mut buf) {
-                Ok(n) => n,
-                Err(e) => {
-                    let path = self.dir.join(&meta.name);
-                    self.seg_idx = self.metas.len();
-                    return Some(Err(BundleError::io(path, e)));
-                }
-            };
-            let loc = RecordLoc {
-                segment: meta.name.clone(),
-                line: self.line_no + 1,
-                offset: self.offset,
-            };
-            if read == 0 {
-                let detail = format!(
-                    "file ends after {} record(s), manifest declares {}",
-                    self.line_no, meta.records
-                );
-                let segment = meta.name.clone();
-                self.seg_idx = self.metas.len();
-                return Some(Err(BundleError::ManifestMismatch { segment, detail }));
-            }
-            wmtree_telemetry::counter!("bundle.bytes.read").add(read as u64);
-            self.line_no += 1;
-            self.offset += read as u64;
-            self.records_left -= 1;
-            match decode_line(&buf).and_then(verify_line) {
-                Ok(payload) => {
-                    let trimmed = buf.strip_suffix(b"\n").unwrap_or(&buf);
-                    self.chain = chain_fold(self.chain, trimmed);
-                    return Some(Ok((loc, payload.to_string())));
-                }
-                Err(detail) => {
-                    self.seg_idx = self.metas.len();
-                    return Some(Err(BundleError::Corrupt {
-                        segment: loc.segment,
-                        line: loc.line,
-                        offset: loc.offset,
-                        detail,
+            if reader.records() as u64 == meta.records {
+                // Segment done: the chain must match the manifest.
+                if reader.chain() != meta.chain {
+                    return Some(Err(BundleError::ManifestMismatch {
+                        segment: meta.name.clone(),
+                        detail: format!(
+                            "segment chain is {}, manifest declares {}",
+                            reader.chain(),
+                            meta.chain
+                        ),
                     }));
                 }
+                self.committed.push(reader.offset());
+                self.seg_idx += 1;
+                self.reader = None;
+                continue;
             }
+            return Some(match reader.next_frame() {
+                Err(e) => Err(e),
+                Ok(Frame::Record(loc, payload)) => Ok((loc, payload)),
+                Ok(Frame::Mismatch(loc, detail) | Frame::Broken(loc, detail)) => {
+                    Err(loc.corrupt(detail))
+                }
+                Ok(Frame::End) => Err(BundleError::ManifestMismatch {
+                    segment: meta.name.clone(),
+                    detail: format!(
+                        "file ends after {} record(s), manifest declares {}",
+                        reader.records(),
+                        meta.records
+                    ),
+                }),
+            });
         }
     }
 }
@@ -336,7 +410,7 @@ pub fn verify_and_truncate(
     dir: &Path,
     prefix: &str,
     metas: &[SegmentMeta],
-    mut on_record: impl FnMut(RecordLoc, &str) -> Result<(), BundleError>,
+    mut on_record: impl FnMut(RecordLoc, &[u8]) -> Result<(), BundleError>,
 ) -> Result<(), BundleError> {
     let mut stream = LogStream::open(dir, metas);
     while let Some(record) = stream.next_record() {
@@ -392,7 +466,7 @@ mod tests {
         dir
     }
 
-    fn drain(dir: &Path, metas: &[SegmentMeta]) -> Vec<String> {
+    fn drain(dir: &Path, metas: &[SegmentMeta]) -> Vec<Vec<u8>> {
         let mut stream = LogStream::open(dir, metas);
         let mut out = Vec::new();
         while let Some(rec) = stream.next_record() {
@@ -401,11 +475,15 @@ mod tests {
         out
     }
 
+    fn payload(i: usize) -> Vec<u8> {
+        format!("{{\"n\":{i}}}").into_bytes()
+    }
+
     #[test]
     fn write_read_roundtrip_with_rotation() {
         let dir = tmp("rotate");
         let mut w = LogWriter::create(&dir, "visits", 3);
-        let payloads: Vec<String> = (0..8).map(|i| format!("{{\"n\":{i}}}")).collect();
+        let payloads: Vec<Vec<u8>> = (0..8).map(payload).collect();
         for p in &payloads {
             w.append(p).unwrap();
         }
@@ -419,15 +497,14 @@ mod tests {
         let dir = tmp("corrupt");
         let mut w = LogWriter::create(&dir, "visits", 100);
         for i in 0..5 {
-            w.append(&format!("{{\"n\":{i}}}")).unwrap();
+            w.append(&payload(i)).unwrap();
         }
         w.flush().unwrap();
-        // Flip one payload byte in the middle of line 3.
+        // Flip one payload byte in the middle of record 3.
         let path = dir.join(segment_name("visits", 0));
         let mut bytes = std::fs::read(&path).unwrap();
-        let line_len = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
-        let victim = 2 * line_len + HEADER_WIDTH + 2;
-        bytes[victim] ^= 0x20;
+        let frame_len = HEADER_LEN + payload(0).len();
+        bytes[2 * frame_len + HEADER_LEN + 2] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
 
         let mut stream = LogStream::open(&dir, w.metas());
@@ -443,10 +520,11 @@ mod tests {
             } => {
                 assert_eq!(segment, "visits-000.seg");
                 assert_eq!(line, 3);
-                assert_eq!(offset, 2 * line_len as u64);
+                assert_eq!(offset, 2 * frame_len as u64);
             }
             other => panic!("expected Corrupt, got {other}"),
         }
+        assert!(stream.next_record().is_none(), "an error ends the stream");
     }
 
     #[test]
@@ -454,13 +532,12 @@ mod tests {
         let dir = tmp("short");
         let mut w = LogWriter::create(&dir, "visits", 100);
         for i in 0..3 {
-            w.append(&format!("{{\"n\":{i}}}")).unwrap();
+            w.append(&payload(i)).unwrap();
         }
         w.flush().unwrap();
         let path = dir.join(segment_name("visits", 0));
         let bytes = std::fs::read(&path).unwrap();
-        let keep = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
-        std::fs::write(&path, &bytes[..keep]).unwrap();
+        std::fs::write(&path, &bytes[..HEADER_LEN + payload(0).len()]).unwrap();
 
         let mut stream = LogStream::open(&dir, w.metas());
         stream.next_record().unwrap().unwrap();
@@ -473,19 +550,19 @@ mod tests {
         let dir = tmp("trunc");
         let mut w = LogWriter::create(&dir, "visits", 100);
         for i in 0..3 {
-            w.append(&format!("{{\"n\":{i}}}")).unwrap();
+            w.append(&payload(i)).unwrap();
         }
         w.flush().unwrap();
         let committed = w.metas().to_vec();
-        // Uncommitted tail: two more records and a stray next segment,
+        // Uncommitted tail: one more record and a stray next segment,
         // as if the process died mid-site before the manifest update.
-        w.append("{\"n\":98}").unwrap();
+        w.append(&payload(98)).unwrap();
         w.flush().unwrap();
         std::fs::write(dir.join(segment_name("visits", 1)), b"garbage").unwrap();
 
         let mut seen = Vec::new();
         verify_and_truncate(&dir, "visits", &committed, |_, p| {
-            seen.push(p.to_string());
+            seen.push(p.to_vec());
             Ok(())
         })
         .unwrap();
@@ -494,10 +571,10 @@ mod tests {
         // After truncation a resumed writer continues as if the tail
         // never happened.
         let mut w2 = LogWriter::resume(&dir, "visits", 100, committed.clone());
-        w2.append("{\"n\":3}").unwrap();
+        w2.append(&payload(3)).unwrap();
         w2.flush().unwrap();
         let all = drain(&dir, w2.metas());
-        assert_eq!(all.last().map(String::as_str), Some("{\"n\":3}"));
+        assert_eq!(all.last(), Some(&payload(3)));
         assert_eq!(all.len(), 4);
     }
 
@@ -505,7 +582,7 @@ mod tests {
     fn resumed_log_is_byte_identical_to_uninterrupted() {
         let a = tmp("ident-a");
         let b = tmp("ident-b");
-        let payloads: Vec<String> = (0..10).map(|i| format!("{{\"n\":{i}}}")).collect();
+        let payloads: Vec<Vec<u8>> = (0..10).map(payload).collect();
 
         let mut wa = LogWriter::create(&a, "visits", 4);
         for p in &payloads {
@@ -535,11 +612,44 @@ mod tests {
     }
 
     #[test]
-    fn split_line_rejects_framing_defects() {
-        assert!(split_line("short").is_err());
-        assert!(split_line("0000000000000000_{}").is_err());
-        assert!(split_line("zzzzzzzzzzzzzzzz {}").is_err());
-        let good = format!("{} {{}}", to_hex(line_checksum(b"{}")));
-        assert_eq!(split_line(&good).unwrap().1, "{}");
+    fn framing_defects_are_located() {
+        let dir = tmp("framing");
+        let good = payload(1);
+        let header = frame_header(&good).unwrap();
+        let mut bytes = header.to_vec();
+        bytes.extend_from_slice(&good);
+        // Record 2 fails its checksum but keeps its length: record 3 is
+        // still located behind it.
+        let mut bad = header.to_vec();
+        bad.extend_from_slice(b"{\"n\":2}");
+        bytes.extend_from_slice(&bad);
+        bytes.extend_from_slice(&header);
+        bytes.extend_from_slice(&good);
+        // Record 4 declares more bytes than the file holds.
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 8]);
+        std::fs::write(dir.join("x-000.seg"), &bytes).unwrap();
+
+        let mut r = SegmentReader::open(&dir, "x-000.seg").unwrap();
+        assert!(matches!(r.next_frame().unwrap(), Frame::Record(_, p) if p == good));
+        let frame = (HEADER_LEN + good.len()) as u64;
+        assert!(matches!(
+            r.next_frame().unwrap(),
+            Frame::Mismatch(loc, d) if loc.line == 2 && loc.offset == frame && d.contains("checksum")
+        ));
+        assert!(matches!(r.next_frame().unwrap(), Frame::Record(loc, _) if loc.line == 3));
+        assert!(matches!(
+            r.next_frame().unwrap(),
+            Frame::Broken(loc, d) if loc.line == 4 && loc.offset == 3 * frame && d.contains("exceeds")
+        ));
+
+        // A header cut short.
+        std::fs::write(dir.join("y-000.seg"), &bytes[..5]).unwrap();
+        let mut r = SegmentReader::open(&dir, "y-000.seg").unwrap();
+        assert!(matches!(r.next_frame().unwrap(), Frame::Broken(loc, _) if loc.line == 1));
+        // An empty file ends cleanly.
+        std::fs::write(dir.join("z-000.seg"), b"").unwrap();
+        let mut r = SegmentReader::open(&dir, "z-000.seg").unwrap();
+        assert!(matches!(r.next_frame().unwrap(), Frame::End));
     }
 }

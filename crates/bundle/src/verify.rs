@@ -7,23 +7,22 @@
 //! byte does not hide an unrelated dangling reference further on.
 
 use crate::error::BundleError;
-use crate::hash::{chain_fold, chain_start, from_hex, to_hex};
+use crate::hash::to_hex;
 use crate::manifest::{Manifest, SegmentMeta};
 use crate::record::{decode_object, decode_record, Record};
-use crate::segment::{decode_line, verify_line, RecordLoc};
+use crate::segment::{Frame, RecordLoc, SegmentReader};
 use crate::writer::{OBJECTS_PREFIX, VISITS_PREFIX};
 use std::collections::BTreeSet;
-use std::io::BufRead;
 use std::path::Path;
 
 /// One defect found by [`verify_bundle`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerifyIssue {
-    /// A record failed its checksum or could not be parsed.
+    /// A record failed its checksum or could not be decoded.
     Corrupt {
         /// Segment file name.
         segment: String,
-        /// One-based line number.
+        /// One-based record number.
         line: usize,
         /// Byte offset of the record start.
         offset: u64,
@@ -42,7 +41,7 @@ pub enum VerifyIssue {
     DanglingObject {
         /// Segment file name of the referencing record.
         segment: String,
-        /// One-based line number of the referencing record.
+        /// One-based record number of the referencing record.
         line: usize,
         /// Byte offset of the referencing record start.
         offset: u64,
@@ -58,7 +57,7 @@ pub enum VerifyIssue {
     ProfileOutOfRange {
         /// Segment file name.
         segment: String,
-        /// One-based line number.
+        /// One-based record number.
         line: usize,
         /// The offending profile index.
         profile: usize,
@@ -83,7 +82,10 @@ impl std::fmt::Display for VerifyIssue {
                 line,
                 offset,
                 detail,
-            } => write!(f, "{segment} line {line} (byte offset {offset}): {detail}"),
+            } => write!(
+                f,
+                "{segment} record {line} (byte offset {offset}): {detail}"
+            ),
             VerifyIssue::ManifestMismatch { segment, detail } => {
                 write!(f, "manifest vs {segment}: {detail}")
             }
@@ -94,7 +96,7 @@ impl std::fmt::Display for VerifyIssue {
                 object,
             } => write!(
                 f,
-                "{segment} line {line} (byte offset {offset}): dangling object reference {object}"
+                "{segment} record {line} (byte offset {offset}): dangling object reference {object}"
             ),
             VerifyIssue::OrphanObject { object } => {
                 write!(f, "object {object} is stored but never referenced")
@@ -105,7 +107,7 @@ impl std::fmt::Display for VerifyIssue {
                 profile,
             } => write!(
                 f,
-                "{segment} line {line}: profile index {profile} out of range"
+                "{segment} record {line}: profile index {profile} out of range"
             ),
             VerifyIssue::TrailingBytes { segment, bytes } => {
                 write!(
@@ -148,8 +150,8 @@ impl VerifyReport {
 }
 
 impl VerifyIssue {
-    /// The issue a located record defect from the shared decoders
-    /// ([`decode_object`], [`decode_record`]) stands for.
+    /// The issue a located record defect (framing, or the shared
+    /// decoders [`decode_object`] and [`decode_record`]) stands for.
     fn corrupt(e: BundleError) -> VerifyIssue {
         match e {
             BundleError::Corrupt {
@@ -172,75 +174,58 @@ impl VerifyIssue {
 }
 
 /// Lenient scan of one segment log. Feeds each checksum-clean payload
-/// (even after earlier corrupt lines) to `on_payload` with its
-/// location.
+/// (even after earlier corrupt records) to `on_payload` with its
+/// location; a record whose length prefix cannot be trusted ends the
+/// scan of its segment.
 fn scan_log(
     dir: &Path,
     metas: &[SegmentMeta],
     issues: &mut Vec<VerifyIssue>,
-    mut on_payload: impl FnMut(RecordLoc, &str, &mut Vec<VerifyIssue>),
+    mut on_payload: impl FnMut(RecordLoc, &[u8], &mut Vec<VerifyIssue>),
 ) -> Result<(), BundleError> {
     for meta in metas {
-        let path = dir.join(&meta.name);
-        let file = std::fs::File::open(&path).map_err(|e| BundleError::io(&path, e))?;
-        let mut reader = std::io::BufReader::new(file);
-        let mut offset: u64 = 0;
-        let mut chain = chain_start();
+        let mut reader = SegmentReader::open(dir, &meta.name)?;
         let mut ended_early = false;
-        for line_no in 1..=meta.records as usize {
-            let mut buf = Vec::new();
-            let read = reader
-                .read_until(b'\n', &mut buf)
-                .map_err(|e| BundleError::io(&path, e))?;
-            if read == 0 {
-                issues.push(VerifyIssue::ManifestMismatch {
-                    segment: meta.name.clone(),
-                    detail: format!(
-                        "file ends after {} record(s), manifest declares {}",
-                        line_no - 1,
-                        meta.records
-                    ),
-                });
-                ended_early = true;
-                break;
+        while (reader.records() as u64) < meta.records {
+            match reader.next_frame()? {
+                Frame::Record(loc, payload) => on_payload(loc, &payload, issues),
+                Frame::Mismatch(loc, detail) => {
+                    issues.push(VerifyIssue::corrupt(loc.corrupt(detail)))
+                }
+                Frame::Broken(loc, detail) => {
+                    issues.push(VerifyIssue::corrupt(loc.corrupt(detail)));
+                    ended_early = true;
+                    break;
+                }
+                Frame::End => {
+                    issues.push(VerifyIssue::ManifestMismatch {
+                        segment: meta.name.clone(),
+                        detail: format!(
+                            "file ends after {} record(s), manifest declares {}",
+                            reader.records(),
+                            meta.records
+                        ),
+                    });
+                    ended_early = true;
+                    break;
+                }
             }
-            wmtree_telemetry::counter!("bundle.bytes.read").add(read as u64);
-            let trimmed = buf.strip_suffix(b"\n").unwrap_or(&buf);
-            chain = chain_fold(chain, trimmed);
-            let loc = RecordLoc {
-                segment: meta.name.clone(),
-                line: line_no,
-                offset,
-            };
-            match decode_line(&buf).and_then(verify_line) {
-                Ok(payload) => on_payload(loc, payload, issues),
-                Err(detail) => issues.push(VerifyIssue::Corrupt {
-                    segment: loc.segment,
-                    line: loc.line,
-                    offset: loc.offset,
-                    detail,
-                }),
-            }
-            offset += read as u64;
         }
         if !ended_early {
-            if to_hex(chain) != meta.chain {
+            if reader.chain() != meta.chain {
                 issues.push(VerifyIssue::ManifestMismatch {
                     segment: meta.name.clone(),
                     detail: format!(
                         "segment chain is {}, manifest declares {}",
-                        to_hex(chain),
+                        reader.chain(),
                         meta.chain
                     ),
                 });
             }
-            let len = std::fs::metadata(&path)
-                .map_err(|e| BundleError::io(&path, e))?
-                .len();
-            if len > offset {
+            if reader.file_len() > reader.offset() {
                 issues.push(VerifyIssue::TrailingBytes {
                     segment: meta.name.clone(),
-                    bytes: len - offset,
+                    bytes: reader.file_len() - reader.offset(),
                 });
             }
         }
@@ -314,22 +299,15 @@ pub fn verify_bundle(dir: &Path) -> Result<VerifyReport, BundleError> {
                             profile: vr.profile,
                         });
                     }
-                    match from_hex(&vr.object) {
-                        Some(hash) => {
-                            if stored.contains(&hash) {
-                                referenced.insert(hash);
-                            } else {
-                                issues.push(VerifyIssue::DanglingObject {
-                                    segment: loc.segment,
-                                    line: loc.line,
-                                    offset: loc.offset,
-                                    object: vr.object,
-                                });
-                            }
-                        }
-                        None => issues.push(VerifyIssue::corrupt(
-                            loc.corrupt(format!("malformed object hash `{}`", vr.object)),
-                        )),
+                    if stored.contains(&vr.object) {
+                        referenced.insert(vr.object);
+                    } else {
+                        issues.push(VerifyIssue::DanglingObject {
+                            segment: loc.segment,
+                            line: loc.line,
+                            offset: loc.offset,
+                            object: to_hex(vr.object),
+                        });
                     }
                 }
                 Record::Checkpoint(_) => {
@@ -475,20 +453,18 @@ mod tests {
         // correctly framed object entry by hand and bump the manifest.
         write_small(&dir, true);
         let mut manifest = Manifest::load(&dir).unwrap();
-        let entry = crate::record::EncodedObject::encode(&visit(99))
-            .unwrap()
-            .entry;
-        let line = format!(
-            "{} {entry}",
-            to_hex(crate::hash::line_checksum(entry.as_bytes()))
-        );
+        let entry = crate::record::EncodedObject::encode(&visit(99)).entry;
+        let header = crate::segment::frame_header(&entry).unwrap();
         let seg = dir.join("objects-000.seg");
         let mut bytes = std::fs::read(&seg).unwrap();
-        bytes.extend_from_slice(line.as_bytes());
-        bytes.push(b'\n');
+        bytes.extend_from_slice(&header);
+        bytes.extend_from_slice(&entry);
         std::fs::write(&seg, &bytes).unwrap();
         let m = manifest.object_segments.last_mut().unwrap();
-        m.chain = to_hex(chain_fold(from_hex(&m.chain).unwrap(), line.as_bytes()));
+        m.chain = to_hex(crate::hash::chain_fold(
+            crate::hash::from_hex(&m.chain).unwrap(),
+            &header,
+        ));
         m.records += 1;
         manifest.objects += 1;
         manifest.store(&dir).unwrap();

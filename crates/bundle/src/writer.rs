@@ -17,8 +17,8 @@
 //! Payloads arrive pre-encoded ([`EncodedObject`], built by the crawl
 //! workers), so the writer itself only dedups and appends.
 
+use crate::codec;
 use crate::error::BundleError;
-use crate::hash::to_hex;
 use crate::manifest::{BundleMeta, Manifest, DEFAULT_SEGMENT_CAPACITY};
 use crate::reader::play;
 use crate::record::{BundleVisit, Checkpoint, EncodedObject, Record, VisitRef};
@@ -152,8 +152,8 @@ impl BundleWriter {
     ) -> Result<usize, BundleError> {
         let encoded = visits
             .into_iter()
-            .map(|(url, profile, visit)| Ok((url, profile, EncodedObject::encode(visit)?)))
-            .collect::<Result<Vec<_>, BundleError>>()?;
+            .map(|(url, profile, visit)| (url, profile, EncodedObject::encode(visit)))
+            .collect();
         self.append_encoded(site, encoded)
     }
 
@@ -166,9 +166,7 @@ impl BundleWriter {
         site: &str,
         visits: Vec<(String, usize, EncodedObject)>,
     ) -> Result<usize, BundleError> {
-        // Scope guard only: the span's clock reads stay inside
-        // telemetry's own snapshot, never the segment bytes.
-        let _span = wmtree_telemetry::span("bundle.checkpoint"); // wmtree-lint: allow(WM0301)
+        let _span = wmtree_telemetry::span("bundle.checkpoint");
         let count = visits.len();
         for (url, profile, object) in visits {
             if self.index.insert(object.hash) {
@@ -183,11 +181,9 @@ impl BundleWriter {
                 site: site.to_string(),
                 url,
                 profile,
-                object: to_hex(object.hash),
+                object: object.hash,
             });
-            let payload = serde_json::to_string(&record)
-                .map_err(|e| BundleError::json("serializing visit record", e))?;
-            self.visits.append(&payload)?;
+            self.visits.append(&codec::encode(&record))?;
             self.manifest.visit_records += 1;
             wmtree_telemetry::counter!("bundle.records.written").inc();
         }
@@ -195,9 +191,7 @@ impl BundleWriter {
             site: site.to_string(),
             visits: count,
         });
-        let payload = serde_json::to_string(&checkpoint)
-            .map_err(|e| BundleError::json("serializing checkpoint record", e))?;
-        self.visits.append(&payload)?;
+        self.visits.append(&codec::encode(&checkpoint))?;
         self.manifest.checkpoints += 1;
         self.commit()?;
         wmtree_telemetry::counter!("bundle.checkpoints").inc();

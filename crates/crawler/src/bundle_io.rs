@@ -15,18 +15,16 @@ use wmtree_bundle::{BundleError, BundleMeta, BundleReader, BundleWriter, Encoded
 /// same order [`crate::export::write_jsonl`] uses, so archives are
 /// deterministic. The crawl workers call this on their own shard, so
 /// the coordinating writer only dedups and appends.
-pub(crate) fn encode_visits(
-    db: &CrawlDb,
-) -> Result<Vec<(String, usize, EncodedObject)>, BundleError> {
+pub(crate) fn encode_visits(db: &CrawlDb) -> Vec<(String, usize, EncodedObject)> {
     let mut out = Vec::new();
     for page in db.pages() {
         for profile in 0..db.n_profiles() {
             if let Some(visit) = db.visit_any(page, profile) {
-                out.push((page.url.clone(), profile, EncodedObject::encode(visit)?));
+                out.push((page.url.clone(), profile, EncodedObject::encode(visit)));
             }
         }
     }
-    Ok(out)
+    out
 }
 
 /// Archive a database as a complete bundle at `dir` (one checkpoint per
@@ -93,6 +91,7 @@ mod tests {
     use super::*;
     use crate::profile::standard_profiles;
     use crate::{Commander, CrawlOptions};
+    use wmtree_bundle::segment::{frame_header, HEADER_LEN};
     use wmtree_bundle::{verify_bundle, VerifyIssue};
     use wmtree_webgen::{UniverseConfig, WebUniverse};
 
@@ -217,13 +216,24 @@ mod tests {
         out
     }
 
+    /// `(offset, length)` of every record frame in a segment's bytes,
+    /// walking the length prefixes.
+    fn frames(bytes: &[u8]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            let mut len = [0u8; 4];
+            len.copy_from_slice(&bytes[at..at + 4]);
+            let frame = HEADER_LEN + u32::from_le_bytes(len) as usize;
+            out.push((at, frame));
+            at += frame;
+        }
+        out
+    }
+
     fn loc(dir: &Path, segment: &str, line: usize) -> Loc {
         let bytes = std::fs::read(dir.join(segment)).unwrap();
-        let offset = bytes
-            .split_inclusive(|&b| b == b'\n')
-            .take(line - 1)
-            .map(|l| l.len() as u64)
-            .sum();
+        let offset = frames(&bytes)[line - 1].0 as u64;
         (segment.to_string(), line, offset)
     }
 
@@ -235,19 +245,26 @@ mod tests {
         std::fs::write(&path, bytes).unwrap();
     }
 
-    /// Rewrite one record's payload, then re-checksum the line and
+    /// Rewrite one record's payload, then re-frame the record and
     /// re-chain the segment in the manifest: only the content is wrong.
-    fn rewrite_payload(dir: &Path, segment: &str, line: usize, edit: impl FnOnce(&str) -> String) {
-        use wmtree_bundle::hash::{chain_fold, chain_start, line_checksum, to_hex};
+    fn rewrite_payload(
+        dir: &Path,
+        segment: &str,
+        line: usize,
+        edit: impl FnOnce(&[u8]) -> Vec<u8>,
+    ) {
+        use wmtree_bundle::hash::{chain_fold, chain_start, to_hex};
         let path = dir.join(segment);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines: Vec<String> = text.lines().map(String::from).collect();
-        let payload = edit(&lines[line - 1][17..]);
-        lines[line - 1] = format!("{} {payload}", to_hex(line_checksum(payload.as_bytes())));
-        let chain = lines
-            .iter()
-            .fold(chain_start(), |c, l| chain_fold(c, l.as_bytes()));
-        let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        let bytes = std::fs::read(&path).unwrap();
+        let (at, len) = frames(&bytes)[line - 1];
+        let payload = edit(&bytes[at + HEADER_LEN..at + len]);
+        let mut body = bytes[..at].to_vec();
+        body.extend_from_slice(&frame_header(&payload).unwrap());
+        body.extend_from_slice(&payload);
+        body.extend_from_slice(&bytes[at + len..]);
+        let chain = frames(&body).iter().fold(chain_start(), |c, &(at, _)| {
+            chain_fold(c, &body[at..at + HEADER_LEN])
+        });
         std::fs::write(&path, body).unwrap();
         let mut manifest = Manifest::load(dir).unwrap();
         for m in manifest
@@ -264,7 +281,10 @@ mod tests {
 
     fn readdress(dir: &Path, segment: &str, line: usize) {
         rewrite_payload(dir, segment, line, |p| {
-            p.replacen("\"duration_ms\":", "\"duration_ms\":1", 1)
+            let mut p = p.to_vec();
+            let last = p.len() - 1;
+            p[last] ^= 1;
+            p
         });
     }
 
@@ -285,15 +305,15 @@ mod tests {
                 loc(dir, OBJECTS, 3)
             }),
             ("malformed-framing", |dir| {
-                rewrite_payload(dir, OBJECTS, 3, |p| {
-                    p.replacen("{\"hash\":", "{ \"hash\":", 1)
-                });
+                rewrite_payload(dir, OBJECTS, 3, |p| p[..4].to_vec());
                 loc(dir, OBJECTS, 3)
             }),
             ("dangling", |dir| {
                 rewrite_payload(dir, VISITS, 2, |p| {
-                    let hex = p.len() - 19;
-                    format!("{}0123456789abcdef{}", &p[..hex], &p[hex + 16..])
+                    let object = p.len() - 8;
+                    let mut p = p[..object].to_vec();
+                    p.extend_from_slice(&0x0123_4567_89ab_cdef_u64.to_le_bytes());
+                    p
                 });
                 loc(dir, VISITS, 2)
             }),

@@ -287,7 +287,7 @@ impl<'a> Commander<'a> {
                 });
             }
             for (site_idx, shard, encoded) in shards {
-                writer.append_encoded(&sites[site_idx].domain, encoded?)?;
+                writer.append_encoded(&sites[site_idx].domain, encoded)?;
                 db.merge(shard);
                 crawled += 1;
             }

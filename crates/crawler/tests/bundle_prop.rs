@@ -1,9 +1,11 @@
 //! Property tests of the bundle archive: any database — failed visits,
 //! idle profiles, empty databases — round-trips through
 //! write-bundle → read-bundle unchanged, and a single flipped byte in a
-//! segment surfaces as a checksum error naming the exact location.
+//! segment surfaces as a checksum or framing error naming the exact
+//! location.
 
 use proptest::prelude::*;
+use wmtree_bundle::segment::HEADER_LEN;
 use wmtree_bundle::{BundleError, BundleMeta};
 use wmtree_crawler::{read_bundle, write_bundle, CrawlDb, PageKey, VisitResult};
 use wmtree_url::Url;
@@ -91,9 +93,10 @@ proptest! {
     }
 
     /// Flipping a single bit anywhere in the visit log surfaces as a
-    /// checksum error naming the segment and the corrupted record's
-    /// line and byte offset (flips that hit a newline disturb the
-    /// framing instead and surface as a manifest mismatch).
+    /// checksum or framing error naming the segment and the corrupted
+    /// record's number and byte offset — a flipped length prefix
+    /// included, since the shifted payload fails its checksum or the
+    /// length overruns the file.
     #[test]
     fn flipped_byte_names_segment_line_and_offset(
         seed in 0u64..10_000,
@@ -107,14 +110,19 @@ proptest! {
         let seg = dir.join("visits-000.seg");
         let mut bytes = std::fs::read(&seg).unwrap_or_else(|e| panic!("read segment: {e}"));
         let victim = victim % bytes.len();
-        let flipped_newline = bytes[victim] == b'\n' || bytes[victim] ^ (1 << bit) == b'\n';
-        // The record the victim byte belongs to (one record per line).
-        let line_no = 1 + bytes[..victim].iter().filter(|&&b| b == b'\n').count();
-        let line_start = bytes[..victim]
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map(|i| i as u64 + 1)
-            .unwrap_or(0);
+        // The record the victim byte belongs to, walking the frames'
+        // length prefixes.
+        let (mut line_no, mut line_start) = (1, 0usize);
+        loop {
+            let mut len = [0u8; 4];
+            len.copy_from_slice(&bytes[line_start..line_start + 4]);
+            let next = line_start + HEADER_LEN + u32::from_le_bytes(len) as usize;
+            if victim < next {
+                break;
+            }
+            line_no += 1;
+            line_start = next;
+        }
         bytes[victim] ^= 1 << bit;
         std::fs::write(&seg, &bytes).unwrap_or_else(|e| panic!("write segment: {e}"));
 
@@ -122,22 +130,13 @@ proptest! {
             Err(e) => e,
             Ok(_) => panic!("corruption must not read back cleanly"),
         };
-        if flipped_newline {
-            // Line structure shifted: detected, but as a framing or
-            // count disagreement rather than a per-record checksum.
-            prop_assert!(
-                matches!(err, BundleError::Corrupt { .. } | BundleError::ManifestMismatch { .. }),
-                "unexpected error for newline flip: {err}"
-            );
-        } else {
-            match err {
-                BundleError::Corrupt { segment, line, offset, .. } => {
-                    prop_assert_eq!(segment, "visits-000.seg".to_string());
-                    prop_assert_eq!(line, line_no);
-                    prop_assert_eq!(offset, line_start);
-                }
-                other => panic!("expected Corrupt naming the location, got {other}"),
+        match err {
+            BundleError::Corrupt { segment, line, offset, .. } => {
+                prop_assert_eq!(segment, "visits-000.seg".to_string());
+                prop_assert_eq!(line, line_no);
+                prop_assert_eq!(offset, line_start as u64);
             }
+            other => panic!("expected Corrupt naming the location, got {other}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

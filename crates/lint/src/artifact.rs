@@ -1153,7 +1153,7 @@ mod tests {
 
         // A record that verifies but does not decode: WM0245. Forge a
         // sites segment whose payload is a malformed site record, with
-        // correct line checksum and a re-pinned manifest.
+        // correct record checksum and a re-pinned manifest.
         let manifest_path = cache_dir.join(wmtree_tree::cache::CACHE_MANIFEST_FILE);
         let manifest_text = std::fs::read_to_string(&manifest_path).expect("read cache manifest");
         let mut w = wmtree_bundle::segment::LogWriter::resume(
@@ -1164,7 +1164,7 @@ mod tests {
                 .expect("parse cache manifest")
                 .sites,
         );
-        w.append("not-hex no-payload")
+        w.append(b"not-hex no-payload")
             .expect("append forged record");
         w.flush().expect("flush forged record");
         let mut manifest: wmtree_tree::cache::CacheManifest =
@@ -1185,8 +1185,10 @@ mod tests {
         );
 
         // A duplicate tree record: WM0246.
-        let tree_line = String::from_utf8(committed.clone()).expect("utf8 segment");
-        let payload = tree_line.lines().next().expect("one record")[17..].to_string();
+        let header = wmtree_bundle::segment::HEADER_LEN;
+        let mut len = [0u8; 4];
+        len.copy_from_slice(&committed[..4]);
+        let payload = committed[header..header + u32::from_le_bytes(len) as usize].to_vec();
         let mut w = wmtree_bundle::segment::LogWriter::resume(
             &cache_dir,
             wmtree_tree::cache::TREES_PREFIX,

@@ -1,7 +1,8 @@
 //! Content-hash memoized trees: never build the same visit twice.
 //!
 //! The bundle object store already content-addresses identical
-//! [`VisitResult`] payloads (`stable_hash` over the canonical JSON), so
+//! [`VisitResult`] payloads (`stable_hash` over their binary
+//! [`codec`](wmtree_bundle::codec) bytes), so
 //! a visit's content hash is a ready-made memoization key for the tree
 //! built from it: `build_tree` is a pure function of the visit, the
 //! filter list, and the [`crate::TreeConfig`]. [`TreeCache`] maps that
@@ -9,8 +10,9 @@
 //!
 //! * **in-memory** within a run — cross-profile and cross-visit dedup
 //!   (tree clones are O(1) `Arc` bumps);
-//! * **disk-backed** across runs — an append-only, checksummed segment
-//!   log next to the bundle (`TREECACHE/`), committed with the same
+//! * **disk-backed** across runs — append-only, checksummed segment
+//!   logs next to the bundle (`TREECACHE/`) in the bundle's binary
+//!   record framing, committed with the same
 //!   MANIFEST-style atomic-rename discipline and crash recovery as
 //!   `crates/bundle`: `CACHE.json` pins every segment's record count
 //!   and rolling chain checksum, anything past it is truncated on open,
@@ -22,10 +24,12 @@
 //! config, filter list, profile roster). A stale entry cannot exist,
 //! only an unused one.
 //!
-//! Alongside trees the cache stores opaque single-line *site records*
-//! (keyed by a site-delta hash) that the incremental re-analysis layer
-//! in `wmtree` uses for per-site partial accumulators; this module
-//! treats the payloads as opaque strings.
+//! Alongside trees the cache stores opaque *site records* (keyed by a
+//! site-delta hash) that the incremental re-analysis layer in `wmtree`
+//! uses for per-site partial accumulators; this module treats the
+//! payloads as opaque strings. Tree and site payloads are text inside
+//! the binary frames: a tree in the dense codec of [`encode_tree`], a
+//! site record as `<hex key> <payload>`.
 
 use crate::tree::{DepTree, NodeId};
 use parking_lot::Mutex;
@@ -34,17 +38,16 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use wmtree_browser::VisitResult;
 use wmtree_bundle::error::BundleError;
-use wmtree_bundle::hash::{chain_fold, chain_start, from_hex, object_hash, to_hex};
+use wmtree_bundle::hash::{from_hex, object_hash, to_hex};
 use wmtree_bundle::manifest::DEFAULT_SEGMENT_CAPACITY;
-use wmtree_bundle::segment::{
-    decode_line, segment_name, verify_and_truncate, verify_line, LogWriter,
-};
+use wmtree_bundle::segment::{segment_name, verify_and_truncate, Frame, LogWriter, SegmentReader};
 use wmtree_bundle::SegmentMeta;
 use wmtree_net::ResourceType;
 use wmtree_url::Party;
 
-/// Cache format version this build reads and writes.
-pub const CACHE_VERSION: u32 = 1;
+/// Cache format version this build reads and writes. Version 2 is the
+/// binary record framing; a version-1 (text-line) cache is discarded.
+pub const CACHE_VERSION: u32 = 2;
 
 /// Manifest file name within a cache directory.
 pub const CACHE_MANIFEST_FILE: &str = "CACHE.json";
@@ -65,10 +68,10 @@ const NODE_SEP: char = '\u{1e}';
 
 /// The content hash of a visit — identical to the bundle object
 /// store's address for the same payload, so replayed bundles get the
-/// key for free from their visit records.
+/// key for free from their visit records. Encoding cannot fail, so
+/// this is always `Some`.
 pub fn visit_hash(visit: &VisitResult) -> Option<u64> {
-    let canonical = serde_json::to_string(visit).ok()?;
-    Some(object_hash(canonical.as_bytes()))
+    Some(object_hash(&wmtree_bundle::codec::encode(visit)))
 }
 
 /// The commit record of a cache directory: segment metas for both
@@ -214,12 +217,9 @@ impl TreeCache {
         let mut trees = HashMap::new();
         let mut order = VecDeque::new();
         verify_and_truncate(dir, TREES_PREFIX, &tree_metas, |loc, payload| {
-            let (hash, tree) = decode_tree(payload).map_err(|detail| BundleError::Corrupt {
-                segment: loc.segment.clone(),
-                line: loc.line,
-                offset: loc.offset,
-                detail,
-            })?;
+            let (hash, tree) = utf8(payload)
+                .and_then(decode_tree)
+                .map_err(|detail| loc.corrupt(detail))?;
             if trees.insert(hash, tree).is_none() {
                 order.push_back(hash);
             }
@@ -228,12 +228,9 @@ impl TreeCache {
 
         let mut sites = HashMap::new();
         verify_and_truncate(dir, SITES_PREFIX, &site_metas, |loc, payload| {
-            let (key, body) = decode_site(payload).map_err(|detail| BundleError::Corrupt {
-                segment: loc.segment.clone(),
-                line: loc.line,
-                offset: loc.offset,
-                detail,
-            })?;
+            let (key, body) = utf8(payload)
+                .and_then(decode_site)
+                .map_err(|detail| loc.corrupt(detail))?;
             sites.insert(key, std::sync::Arc::from(body));
             Ok(())
         })?;
@@ -310,7 +307,7 @@ impl TreeCache {
             return;
         }
         if let Some(encoded) = encode_tree(hash, tree) {
-            if append_line(&mut state, Log::Trees, &encoded) {
+            if append_record(&mut state, Log::Trees, encoded.as_bytes()) {
                 state.disk.insert(hash);
             }
         }
@@ -337,19 +334,14 @@ impl TreeCache {
         found
     }
 
-    /// Store an opaque site record (single line; an embedded newline is
-    /// rejected — impossible for JSON payloads, which escape control
-    /// characters).
+    /// Store an opaque site record.
     pub fn insert_site(&self, key: u64, payload: &str) {
-        if payload.contains('\n') {
-            return;
-        }
         let mut state = self.state.lock();
         if state.sites.contains_key(&key) {
             return;
         }
-        let line = format!("{} {payload}", to_hex(key));
-        append_line(&mut state, Log::Sites, &line);
+        let record = format!("{} {payload}", to_hex(key));
+        append_record(&mut state, Log::Sites, record.as_bytes());
         state.sites.insert(key, std::sync::Arc::from(payload));
     }
 
@@ -415,7 +407,7 @@ enum Log {
 /// Append to one of the logs; a write error permanently degrades the
 /// cache to memory-only (counted by `tree.cache.disk.error`) rather
 /// than failing the caller — the cache must never break an analysis.
-fn append_line(state: &mut CacheState, which: Log, line: &str) -> bool {
+fn append_record(state: &mut CacheState, which: Log, payload: &[u8]) -> bool {
     let Some((tree_log, site_log)) = state.logs.as_mut() else {
         return false;
     };
@@ -423,7 +415,7 @@ fn append_line(state: &mut CacheState, which: Log, line: &str) -> bool {
         Log::Trees => tree_log,
         Log::Sites => site_log,
     };
-    if log.append(line).is_err() {
+    if log.append(payload).is_err() {
         wmtree_telemetry::counter!("tree.cache.disk.error").inc();
         state.logs = None;
         return false;
@@ -501,14 +493,14 @@ fn resource_from_code(c: &str) -> Option<ResourceType> {
     })
 }
 
-/// Encode one tree as a single log line:
+/// Encode one tree as one log record:
 /// `<hash> <node-count> <node>\x1e<node>...` with each node as
 /// `<parent|r>\x1f<type>\x1f<party>\x1f<tracking>\x1f<key>` in
 /// attachment order. Children, depths, and the key index are derived
 /// on decode, so only the irreducible structure is stored (≈10× denser
 /// than the JSON form). Returns `None` when a node key would collide
-/// with the framing (separator bytes or newline) — such a tree is
-/// simply not disk-cached.
+/// with the separators (or holds a line break) — such a tree is simply
+/// not disk-cached.
 pub fn encode_tree(hash: u64, tree: &DepTree) -> Option<String> {
     let nodes = tree.nodes();
     let mut out = String::with_capacity(nodes.len() * 32);
@@ -539,7 +531,7 @@ pub fn encode_tree(hash: u64, tree: &DepTree) -> Option<String> {
     Some(out)
 }
 
-/// Decode the line format of [`encode_tree`]. Every structural claim is
+/// Decode the record format of [`encode_tree`]. Every structural claim is
 /// validated (count, parent order, key uniqueness); any mismatch is a
 /// corruption error that discards the cache.
 pub fn decode_tree(payload: &str) -> Result<(u64, DepTree), String> {
@@ -585,6 +577,12 @@ pub fn decode_tree(payload: &str) -> Result<(u64, DepTree), String> {
     Ok((hash, tree))
 }
 
+/// A tree or site record payload as the text it is encoded in.
+fn utf8(payload: &[u8]) -> Result<&str, String> {
+    std::str::from_utf8(payload)
+        .map_err(|e| format!("record is not valid UTF-8 from byte {}", e.valid_up_to()))
+}
+
 fn decode_site(payload: &str) -> Result<(u64, &str), String> {
     let (key, body) = payload.split_once(' ').ok_or("truncated site record")?;
     let key = from_hex(key).ok_or("malformed site record key")?;
@@ -599,7 +597,7 @@ pub enum CacheVerifyIssue {
     Corrupt {
         /// Segment (or manifest) file name.
         segment: String,
-        /// One-based line number; 0 for whole-file defects.
+        /// One-based record number; 0 for whole-file defects.
         line: usize,
         /// Human-readable defect.
         detail: String,
@@ -617,7 +615,7 @@ pub enum CacheVerifyIssue {
     BadRecord {
         /// Segment file name.
         segment: String,
-        /// One-based line number.
+        /// One-based record number.
         line: usize,
         /// Human-readable defect.
         detail: String,
@@ -627,7 +625,7 @@ pub enum CacheVerifyIssue {
     Sparse {
         /// Segment file name.
         segment: String,
-        /// One-based line number.
+        /// One-based record number.
         line: usize,
         /// Human-readable defect.
         detail: String,
@@ -653,104 +651,68 @@ impl CacheVerifyReport {
     }
 }
 
-/// Walk one committed segment log read-only, verifying line checksums,
-/// per-segment chains, and record counts; feed every verified payload
-/// to `on_payload` (which may report a semantic defect); flag
-/// uncommitted trailing bytes and stray segments past the committed
-/// set.
+/// Walk one committed segment log read-only, verifying record
+/// checksums, per-segment chains, and record counts; feed every
+/// verified payload to `on_payload` (which may report a semantic
+/// defect); flag uncommitted trailing bytes and stray segments past the
+/// committed set.
 fn scan_log(
     dir: &Path,
     prefix: &str,
     metas: &[SegmentMeta],
     issues: &mut Vec<CacheVerifyIssue>,
-    mut on_payload: impl FnMut(&str, usize, &str) -> Option<CacheVerifyIssue>,
+    mut on_payload: impl FnMut(&str, usize, &[u8]) -> Option<CacheVerifyIssue>,
 ) {
-    use std::io::BufRead;
-    for meta in metas {
-        let path = dir.join(&meta.name);
-        let file = match std::fs::File::open(&path) {
-            Ok(f) => f,
+    'segments: for meta in metas {
+        let corrupt = |line: usize, detail: String| CacheVerifyIssue::Corrupt {
+            segment: meta.name.clone(),
+            line,
+            detail,
+        };
+        let mut reader = match SegmentReader::open(dir, &meta.name) {
+            Ok(r) => r,
             Err(e) => {
-                issues.push(CacheVerifyIssue::Corrupt {
-                    segment: meta.name.clone(),
-                    line: 0,
-                    detail: format!("cannot open segment: {e}"),
-                });
+                issues.push(corrupt(0, format!("cannot open segment: {e}")));
                 continue;
             }
         };
-        let mut reader = std::io::BufReader::new(file);
-        let mut consumed: u64 = 0;
-        let mut chain = chain_start();
-        let mut broken = false;
-        for line_no in 1..=meta.records as usize {
-            let mut buf = Vec::new();
-            let read = match reader.read_until(b'\n', &mut buf) {
-                Ok(n) => n,
-                Err(e) => {
-                    issues.push(CacheVerifyIssue::Corrupt {
-                        segment: meta.name.clone(),
-                        line: line_no,
-                        detail: format!("read error: {e}"),
-                    });
-                    broken = true;
-                    break;
+        while (reader.records() as u64) < meta.records {
+            let defect = match reader.next_frame() {
+                Ok(Frame::Record(loc, payload)) => {
+                    issues.extend(on_payload(&meta.name, loc.line, &payload));
+                    continue;
                 }
-            };
-            if read == 0 {
-                issues.push(CacheVerifyIssue::Corrupt {
-                    segment: meta.name.clone(),
-                    line: line_no,
-                    detail: format!(
+                Ok(Frame::Mismatch(loc, detail) | Frame::Broken(loc, detail)) => {
+                    corrupt(loc.line, detail)
+                }
+                Ok(Frame::End) => corrupt(
+                    reader.records() + 1,
+                    format!(
                         "file ends after {} record(s), manifest declares {}",
-                        line_no - 1,
+                        reader.records(),
                         meta.records
                     ),
-                });
-                broken = true;
-                break;
-            }
-            consumed += read as u64;
-            match decode_line(&buf).and_then(verify_line) {
-                Ok(payload) => {
-                    let trimmed = buf.strip_suffix(b"\n").unwrap_or(&buf);
-                    chain = chain_fold(chain, trimmed);
-                    if let Some(issue) = on_payload(&meta.name, line_no, payload) {
-                        issues.push(issue);
-                    }
-                }
-                Err(detail) => {
-                    issues.push(CacheVerifyIssue::Corrupt {
-                        segment: meta.name.clone(),
-                        line: line_no,
-                        detail,
-                    });
-                    broken = true;
-                    break;
-                }
-            }
+                ),
+                Err(e) => corrupt(reader.records() + 1, format!("read error: {e}")),
+            };
+            issues.push(defect);
+            continue 'segments;
         }
-        if broken {
-            continue;
-        }
-        if to_hex(chain) != meta.chain {
-            issues.push(CacheVerifyIssue::Corrupt {
-                segment: meta.name.clone(),
-                line: 0,
-                detail: format!(
+        if reader.chain() != meta.chain {
+            issues.push(corrupt(
+                0,
+                format!(
                     "segment chain is {}, manifest declares {}",
-                    to_hex(chain),
+                    reader.chain(),
                     meta.chain
                 ),
-            });
+            ));
         }
-        if let Ok(md) = std::fs::metadata(&path) {
-            if md.len() > consumed {
-                issues.push(CacheVerifyIssue::TrailingBytes {
-                    segment: meta.name.clone(),
-                    bytes: md.len() - consumed,
-                });
-            }
+        if reader.file_len() > reader.offset() {
+            issues.push(CacheVerifyIssue::TrailingBytes {
+                segment: meta.name.clone(),
+                bytes: reader.file_len() - reader.offset(),
+            });
         }
     }
     // Stray segments past the committed set (crash before commit).
@@ -830,7 +792,7 @@ pub fn verify_cache(dir: &Path) -> Result<CacheVerifyReport, String> {
         TREES_PREFIX,
         &tree_metas,
         &mut report.issues,
-        |segment, line, payload| match decode_tree(payload) {
+        |segment, line, payload| match utf8(payload).and_then(decode_tree) {
             Ok((hash, _tree)) => {
                 if seen_trees.insert(hash) {
                     tree_records += 1;
@@ -858,7 +820,7 @@ pub fn verify_cache(dir: &Path) -> Result<CacheVerifyReport, String> {
         SITES_PREFIX,
         &site_metas,
         &mut report.issues,
-        |segment, line, payload| match decode_site(payload) {
+        |segment, line, payload| match utf8(payload).and_then(decode_site) {
             Ok((key, body)) => {
                 if !seen_sites.insert(key) {
                     Some(CacheVerifyIssue::Sparse {
@@ -1154,10 +1116,12 @@ mod tests {
         std::fs::write(&seg, &committed).unwrap();
 
         // A duplicate record (valid framing, repeated key) is a
-        // density defect. Re-append a copy of line 1 and re-pin the
+        // density defect. Re-append a copy of record 1 and re-pin the
         // manifest so the framing layer stays clean.
-        let text = String::from_utf8(committed.clone()).unwrap();
-        let first_line = text.lines().next().unwrap().to_string();
+        let mut len = [0u8; 4];
+        len.copy_from_slice(&committed[..4]);
+        let header = wmtree_bundle::segment::HEADER_LEN;
+        let first = committed[header..header + u32::from_le_bytes(len) as usize].to_vec();
         let mut manifest: CacheManifest =
             serde_json::from_str(&std::fs::read_to_string(dir.join(CACHE_MANIFEST_FILE)).unwrap())
                 .unwrap();
@@ -1167,8 +1131,7 @@ mod tests {
             DEFAULT_SEGMENT_CAPACITY,
             manifest.trees.clone(),
         );
-        let payload = first_line[17..].to_string(); // strip checksum column
-        w.append(&payload).unwrap();
+        w.append(&first).unwrap();
         w.flush().unwrap();
         manifest.trees = w.metas().to_vec();
         manifest.store(&dir).unwrap();
@@ -1267,8 +1230,8 @@ mod tests {
         // The cache key must be the bundle object store's address so a
         // replayed bundle supplies keys for free.
         let v = &sample_visits(1)[0];
-        let canonical = serde_json::to_string(v).unwrap();
-        assert_eq!(visit_hash(v), Some(object_hash(canonical.as_bytes())));
+        let encoded = wmtree_bundle::EncodedObject::encode(v);
+        assert_eq!(visit_hash(v), Some(encoded.hash));
     }
 
     /// Random trees for the codec property: a parent index for each

@@ -179,6 +179,27 @@ impl Url {
         self.fragment.as_deref()
     }
 
+    /// Reassemble a URL from the components its accessors return, taken
+    /// as stored: no parsing and no normalization, exactly as
+    /// deserializing one does. For decoders of archived URLs.
+    pub fn from_parts(
+        scheme: String,
+        host: String,
+        port: Option<u16>,
+        path: String,
+        query: Option<String>,
+        fragment: Option<String>,
+    ) -> Url {
+        Url {
+            scheme,
+            host,
+            port,
+            path,
+            query,
+            fragment,
+        }
+    }
+
     /// Iterate over `(key, value)` query parameters. A parameter without
     /// `=` yields an empty value.
     pub fn query_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
