@@ -6,7 +6,7 @@ use crate::incremental::{accumulate_cached, AnalysisCache, CachedAccumulation, I
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Duration;
-use wmtree_analysis::node_similarity::{analyze_all, PageNodeSimilarities};
+use wmtree_analysis::node_similarity::PageNodeSimilarities;
 use wmtree_analysis::{ExperimentData, MergedAnalysis, PartialMergeError};
 use wmtree_bundle::{BundleError, Manifest};
 use wmtree_crawler::{Commander, CrawlDb, CrawlOptions, ProfileStats, ResumableOutcome};
@@ -86,7 +86,9 @@ impl Experiment {
         let db = self.commander().run_with_progress(&progress);
         manifest.push_stage("crawl", sw.lap("crawl"));
 
-        self.finish(db, manifest, sw, Some(&progress), &metrics_before)
+        self.analyze(db, None, manifest, Some(&progress), &metrics_before)
+            .expect("an uncached fold of one crawl database cannot fail") // wmtree-lint: allow(WM0105)
+            .results
     }
 
     /// [`run`](Experiment::run), but crawling *resumably* into the
@@ -118,7 +120,10 @@ impl Experiment {
                 db,
                 manifest: bundle,
             } => Ok(BundleRun::Complete {
-                results: Box::new(self.finish(db, manifest, sw, Some(&progress), &metrics_before)),
+                results: Box::new(
+                    self.analyze(db, None, manifest, Some(&progress), &metrics_before)?
+                        .results,
+                ),
                 bundle,
             }),
             ResumableOutcome::Partial {
@@ -149,10 +154,9 @@ impl Experiment {
         max_sites: Option<usize>,
     ) -> Result<ResumableOutcome, BundleError> {
         let _run_span = wmtree_telemetry::span("experiment.crawl_window");
+        let commander = self.commander().with_site_range(lo, hi);
         let progress = ProgressTracker::new(hi - lo, self.config.workers.max(1));
-        self.commander()
-            .with_site_range(lo, hi)
-            .run_resumable_with_progress(dir, max_sites, &progress)
+        commander.run_resumable_with_progress(dir, max_sites, &progress)
     }
 
     /// Skip crawling entirely: rebuild the database from a (complete)
@@ -161,36 +165,55 @@ impl Experiment {
     /// them — are identical to a crawl-then-analyze run.
     pub fn replay_from_bundle(&self, dir: &Path) -> Result<ExperimentResults, BundleError> {
         let _run_span = wmtree_telemetry::span("experiment.replay");
-        let metrics_before = wmtree_telemetry::global().snapshot();
-        let mut sw = Stopwatch::start();
-        let mut manifest = self.base_manifest();
-
-        let db = self.open_bundle(dir)?;
-        manifest.push_stage("read_bundle", sw.lap("read_bundle"));
-
-        Ok(self.finish(db, manifest, sw, None, &metrics_before))
+        Ok(self.replay(dir, None)?.results)
     }
 
     /// [`replay_from_bundle`](Experiment::replay_from_bundle) through
-    /// an [`AnalysisCache`]: [`open_bundle`](Experiment::open_bundle),
-    /// [`accumulate`](Experiment::accumulate), then one canonical
-    /// finish. Unchanged sites fold their cached partial accumulators
-    /// without rebuilding a single tree, changed sites rebuild with
-    /// their trees memoized per visit. The results are byte-identical
-    /// to the uncached replay; the [`IncrementalReplay`] wrapper
-    /// additionally reports how much work the cache absorbed.
+    /// an [`AnalysisCache`]. Unchanged sites fold their cached partial
+    /// accumulators without rebuilding a single tree, changed sites
+    /// rebuild with their trees memoized per visit. The results are
+    /// byte-identical to the uncached replay; the [`IncrementalReplay`]
+    /// wrapper additionally reports how much work the cache absorbed.
     pub fn replay_from_bundle_cached(
         &self,
         dir: &Path,
         cache: &AnalysisCache,
     ) -> Result<IncrementalReplay, BundleError> {
         let _run_span = wmtree_telemetry::span("experiment.replay_cached");
+        self.replay(dir, Some(cache))
+    }
+
+    /// Both replays: [`open_bundle`](Experiment::open_bundle) as the
+    /// `read_bundle` stage, then [`analyze`](Experiment::analyze).
+    fn replay(
+        &self,
+        dir: &Path,
+        cache: Option<&AnalysisCache>,
+    ) -> Result<IncrementalReplay, BundleError> {
         let metrics_before = wmtree_telemetry::global().snapshot();
         let mut sw = Stopwatch::start();
         let mut manifest = self.base_manifest();
 
         let db = self.open_bundle(dir)?;
         manifest.push_stage("read_bundle", sw.lap("read_bundle"));
+        self.analyze(db, cache, manifest, None, &metrics_before)
+    }
+
+    /// The one analysis pipeline behind every run and replay, after
+    /// its input stage (`crawl` or `read_bundle`):
+    /// [`accumulate`](Experiment::accumulate) `db` through `cache`,
+    /// finish the per-site accumulators into canonical order, and
+    /// assemble the results with the `build_trees`, `analyze` and
+    /// `fold_sites` stages. `progress` is absent when no crawl happened
+    /// (bundle replay).
+    fn analyze(
+        &self,
+        db: CrawlDb,
+        cache: Option<&AnalysisCache>,
+        mut manifest: RunManifest,
+        progress: Option<&ProgressTracker>,
+        metrics_before: &Snapshot,
+    ) -> Result<IncrementalReplay, BundleError> {
         let acc = self.accumulate(&db, cache)?;
         drop(db);
 
@@ -200,14 +223,25 @@ impl Experiment {
         manifest.push_stage("build_trees", acc.build_wall);
         manifest.push_stage("analyze", acc.analyze_wall);
         manifest.push_stage("fold_sites", fold_wall);
+
+        let mut results = ExperimentResults::from_merged(merged, manifest, metrics_before);
+        if let Some(progress) = progress {
+            let mut progress_snap = progress.snapshot();
+            // Stalls are sampled deep inside the network model where the
+            // tracker is out of reach; recover the count from the metric
+            // diff so the progress record is complete.
+            if let Some(MetricValue::Counter(n)) =
+                results.manifest.metrics.metrics.get("net.fetch.stalled")
+            {
+                progress_snap.stalls = *n;
+            }
+            results.manifest.progress = Some(progress_snap);
+        }
         Ok(IncrementalReplay {
-            results: ExperimentResults::from_merged(merged, manifest, &metrics_before),
+            results,
             sites_total: acc.sites_total,
             sites_rebuilt: acc.sites_rebuilt,
             sites_reused: acc.sites_reused,
-            build_wall: acc.build_wall,
-            analyze_wall: acc.analyze_wall,
-            fold_wall,
         })
     }
 
@@ -219,22 +253,20 @@ impl Experiment {
         wmtree_crawler::read_bundle(dir)
     }
 
-    /// Fold one bundle's database into mergeable per-site accumulators
-    /// through `cache` ([`accumulate_cached`]), then commit the cache
-    /// (a failed commit only costs the next run time, and is counted in
+    /// Fold one database into mergeable per-site accumulators through
+    /// `cache` ([`accumulate_cached`]), then commit the cache (a failed
+    /// commit only costs the next run time, and is counted in
     /// `tree.cache.disk.error`). A database read from one bundle cannot
     /// hold duplicate pages or a foreign roster, so a merge failure
     /// means the cache fed back inconsistent state: it is discarded and
-    /// the bundle is rebuilt cold. Only a failure on the empty cache is
-    /// an error.
+    /// the database is rebuilt cold. Without a cache nothing can fail.
     pub fn accumulate(
         &self,
         db: &CrawlDb,
-        cache: &AnalysisCache,
+        cache: Option<&AnalysisCache>,
     ) -> Result<CachedAccumulation, BundleError> {
         let inputs = self.pipeline_inputs();
         let attempt = || {
-            let _span = wmtree_telemetry::span("experiment.build_trees");
             accumulate_cached(
                 db,
                 &inputs.names,
@@ -244,6 +276,9 @@ impl Experiment {
                 self.config.workers,
                 cache,
             )
+        };
+        let Some(cache) = cache else {
+            return attempt().map_err(cache_fault);
         };
         let acc = match attempt() {
             Ok(acc) => acc,
@@ -321,65 +356,12 @@ impl Experiment {
                 .collect(),
         }
     }
-
-    /// The monolithic post-crawl pipeline of `run`, `run_to_bundle` and
-    /// the uncached replay: vetting + tree building over the whole
-    /// database, per-node analyses, and manifest assembly. `progress`
-    /// is absent when no crawl happened (bundle replay).
-    fn finish(
-        &self,
-        db: CrawlDb,
-        mut manifest: RunManifest,
-        mut sw: Stopwatch,
-        progress: Option<&ProgressTracker>,
-        metrics_before: &Snapshot,
-    ) -> ExperimentResults {
-        let inputs = self.pipeline_inputs();
-        let data = {
-            let _span = wmtree_telemetry::span("experiment.build_trees");
-            ExperimentData::from_db_parallel(
-                &db,
-                inputs.names,
-                inputs.filter,
-                &self.config.tree,
-                &inputs.site_meta,
-                self.config.workers,
-            )
-        };
-        manifest.push_stage("build_trees", sw.lap("build_trees"));
-        let sims = analyze_all(&data);
-        manifest.push_stage("analyze", sw.lap("analyze"));
-
-        manifest.metrics = wmtree_telemetry::global().snapshot().since(metrics_before);
-        if let Some(progress) = progress {
-            let mut progress_snap = progress.snapshot();
-            // Stalls are sampled deep inside the network model where the
-            // tracker is out of reach; recover the count from the metric
-            // diff so the progress record is complete.
-            if let Some(MetricValue::Counter(n)) = manifest.metrics.metrics.get("net.fetch.stalled")
-            {
-                progress_snap.stalls = *n;
-            }
-            manifest.progress = Some(progress_snap);
-        }
-        manifest.timings = wmtree_telemetry::global().timings().snapshot();
-
-        ExperimentResults {
-            profile_stats: db.profile_stats(),
-            pages_discovered: db.page_count(),
-            successful_visits: db.total_successful_visits(),
-            vetted_sites: db.vetted_sites().len(),
-            sims,
-            data,
-            manifest,
-        }
-    }
 }
 
 impl ExperimentResults {
-    /// Results from a finished fold of per-site accumulators (a cached
-    /// replay or a shard merge). `manifest` gains the metrics recorded
-    /// since `metrics_before` and the span timings.
+    /// Results from a finished fold of per-site accumulators — the end
+    /// of every run, replay and shard merge. `manifest` gains the
+    /// metrics recorded since `metrics_before` and the span timings.
     pub fn from_merged(
         merged: MergedAnalysis,
         mut manifest: RunManifest,

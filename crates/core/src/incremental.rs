@@ -7,7 +7,9 @@
 //! never re-built or re-analyzed — its cached accumulator folds
 //! straight into the merge, exactly as an unchanged shard would in the
 //! out-of-core pipeline. Only sites whose *delta key* changed are
-//! rebuilt, and their trees still dedup through the tree cache.
+//! rebuilt, and their trees still dedup through the tree cache. With
+//! no cache, [`accumulate_cached`] is the plain post-crawl pipeline
+//! every live run and uncached replay takes.
 //!
 //! Everything is keyed by content, so invalidation is by construction:
 //!
@@ -229,10 +231,9 @@ fn site_stats(db: &CrawlDb, pages: &[&PageKey]) -> (Vec<ProfileStats>, usize) {
 
 /// Outcome of [`accumulate_cached`]: every site's accumulator — cached
 /// or freshly rebuilt — merged but **not yet finished**, plus the
-/// incremental accounting and per-phase wall times the benchmark and
-/// replay manifest report. A cached replay calls
-/// [`PartialAccumulators::finish`] on one of these; the shard merge
-/// folds one per bundle first and finishes once.
+/// incremental accounting and per-phase wall times the run manifest
+/// reports. Every mode calls [`PartialAccumulators::finish`] on one of
+/// these; the shard merge folds one per bundle first and finishes once.
 pub struct CachedAccumulation {
     /// The merged (un-finished) accumulators over every site.
     pub acc: PartialAccumulators,
@@ -252,26 +253,30 @@ pub struct CachedAccumulation {
     pub fold_wall: Duration,
 }
 
-/// The cached post-crawl pipeline: resolve each site against the
-/// cache, rebuild only the changed ones (their trees still memoized
-/// per visit), and fold every site's accumulator — cached or fresh —
-/// into one mergeable [`PartialAccumulators`]. A cached accumulator
-/// holding another site's pages fails with
+/// The post-crawl pipeline of every mode: resolve each site against
+/// the cache, rebuild only the changed ones (their trees still
+/// memoized per visit), and fold every site's accumulator — cached or
+/// fresh — into one mergeable [`PartialAccumulators`]. A cached
+/// accumulator holding another site's pages fails with
 /// [`PartialMergeError::ForeignPage`].
+///
+/// Without a cache (a live crawl, an uncached replay) no delta key is
+/// hashed and nothing is looked up or stored: every site rebuilds from
+/// `db` with the in-run tree memo, and the fold cannot fail.
 ///
 /// [`Experiment::accumulate`][crate::Experiment::accumulate] wraps this
 /// with the configuration's inputs, cache-fault recovery and the cache
-/// commit; cached replays and the shard merge both fold bundles
-/// through it.
-pub fn accumulate_cached(
+/// commit; every run, replay and shard merge folds through it.
+pub fn accumulate_cached<'c>(
     db: &CrawlDb,
     profile_names: &[String],
     filter_list: Option<&FilterList>,
     tree_config: &TreeConfig,
     site_meta: &BTreeMap<String, (u32, String)>,
     workers: usize,
-    cache: &AnalysisCache,
+    cache: impl Into<Option<&'c AnalysisCache>>,
 ) -> Result<CachedAccumulation, PartialMergeError> {
+    let cache = cache.into();
     let mut sw = Stopwatch::start();
 
     // Group the database's pages by site (pages iterate in canonical
@@ -285,10 +290,16 @@ pub fn accumulate_cached(
     // Hash every site's delta key, in canonical site order. This is
     // the cache-resolved analogue of tree building (it decides which
     // trees exist this run), so it counts toward the build stage.
-    let keyed: Vec<(&str, Option<u64>)> = by_site
-        .iter()
-        .map(|(site, pages)| (*site, site_delta_key(db, site, pages, site_meta.get(*site))))
-        .collect();
+    let keyed: Vec<(&str, Option<u64>)> = {
+        let _span = wmtree_telemetry::span("experiment.build_trees");
+        by_site
+            .iter()
+            .map(|(site, pages)| {
+                let key = cache.and_then(|_| site_delta_key(db, site, pages, site_meta.get(*site)));
+                (*site, key)
+            })
+            .collect()
+    };
     let mut build_wall = sw.lap("build.keys");
 
     // Resolve the keys against the cache (deterministic hit/miss
@@ -300,7 +311,10 @@ pub fn accumulate_cached(
     let mut reused: Vec<PartialAccumulators> = Vec::new();
     let mut rebuild: Vec<(&str, Option<u64>)> = Vec::new();
     for (site, key) in keyed {
-        match key.and_then(|k| cache.get_site_acc(k, profile_names)) {
+        match key
+            .zip(cache)
+            .and_then(|(k, c)| c.get_site_acc(k, profile_names))
+        {
             Some(acc) => {
                 acc.check_site(site)?;
                 reused.push(acc);
@@ -310,30 +324,36 @@ pub fn accumulate_cached(
     }
     let mut fold_wall = sw.lap("fold.resolve");
 
-    // Rebuild phase 1: one sub-database holding every changed site, so
-    // the tree build fans out across all of them at once.
+    // Rebuild phase 1: build the changed sites' trees in one fan-out.
+    // When the cache supplied some sites, the rest are copied into one
+    // sub-database first; otherwise every site rebuilds from `db`.
+    let build_span = wmtree_telemetry::span("experiment.build_trees");
     let mut sub = CrawlDb::new(db.n_profiles());
-    for (site, _) in &rebuild {
-        for page in &by_site[site] {
-            for profile in 0..db.n_profiles() {
-                if let Some(v) = db.visit_any(page, profile) {
-                    match db.visit_hash(page, profile) {
-                        Some(h) => sub.insert_hashed((*page).clone(), profile, v.clone(), h),
-                        None => sub.insert((*page).clone(), profile, v.clone()),
+    if !reused.is_empty() {
+        for (site, _) in &rebuild {
+            for page in &by_site[site] {
+                for profile in 0..db.n_profiles() {
+                    if let Some(v) = db.visit_any(page, profile) {
+                        match db.visit_hash(page, profile) {
+                            Some(h) => sub.insert_hashed((*page).clone(), profile, v.clone(), h),
+                            None => sub.insert((*page).clone(), profile, v.clone()),
+                        }
                     }
                 }
             }
         }
     }
+    let rebuilt = if reused.is_empty() { db } else { &sub };
     let data = ExperimentData::from_db_cached(
-        &sub,
+        rebuilt,
         profile_names.to_vec(),
         filter_list,
         tree_config,
         site_meta,
         workers,
-        Some(cache.tree_cache()),
+        cache.map(AnalysisCache::tree_cache),
     );
+    drop(build_span);
     build_wall += sw.lap("build.trees");
 
     // Rebuild phase 2: the per-page analyses (each page independent).
@@ -342,14 +362,17 @@ pub fn accumulate_cached(
 
     // Fold: split the rebuilt pages back per site, wrap each site in
     // its own accumulator (cached for next time), then merge cached +
-    // fresh accumulators and finish into canonical order. Each rebuilt
-    // page's visit content hashes (aligned with its trees) become the
-    // lean disk record's tree references.
-    let tree_keys: Vec<Vec<Option<u64>>> = sub
-        .vetted_pages_hashed()
-        .into_iter()
-        .map(|(_, visits)| visits.into_iter().map(|(_, h)| h).collect())
-        .collect();
+    // fresh accumulators. Each rebuilt page's visit content hashes
+    // (aligned with its trees) become the lean disk record's tree
+    // references; without a cache nothing is stored, so none are read.
+    let tree_keys: Vec<Vec<Option<u64>>> = match cache {
+        Some(_) => rebuilt
+            .vetted_pages_hashed()
+            .into_iter()
+            .map(|(_, visits)| visits.into_iter().map(|(_, h)| h).collect())
+            .collect(),
+        None => vec![Vec::new(); data.pages.len()],
+    };
     debug_assert_eq!(tree_keys.len(), data.pages.len());
     let mut acc = PartialAccumulators::empty(profile_names.to_vec());
     for cached in reused {
@@ -366,14 +389,7 @@ pub fn accumulate_cached(
         let mut site_pages = Vec::new();
         let mut site_sims = Vec::new();
         let mut site_keys = Vec::new();
-        while let Some((page, _, _)) = pairs.peek() {
-            if &*page.site != *site {
-                break;
-            }
-            let (page, sim, keys) = match pairs.next() {
-                Some(triple) => triple,
-                None => break,
-            };
+        while let Some((page, sim, keys)) = pairs.next_if(|(page, _, _)| &*page.site == *site) {
             site_pages.push(page);
             site_sims.push(sim);
             site_keys.push(keys);
@@ -393,8 +409,8 @@ pub fn accumulate_cached(
             successful,
             vetted,
         );
-        if let Some(k) = key {
-            cache.insert_site_acc(*k, &site_acc, &site_keys);
+        if let Some((k, cache)) = key.zip(cache) {
+            cache.insert_site_acc(k, &site_acc, &site_keys);
         }
         acc.merge(site_acc)?;
     }
@@ -424,14 +440,6 @@ pub struct IncrementalReplay {
     pub sites_rebuilt: usize,
     /// Sites folded from cached accumulators.
     pub sites_reused: usize,
-    /// Wall time of the build stage: delta-key hashing over every
-    /// site, plus tree building for the rebuilt ones.
-    pub build_wall: Duration,
-    /// Wall time of the per-page analyses over rebuilt sites.
-    pub analyze_wall: Duration,
-    /// Wall time of the fold: cached-accumulator reconstruction, the
-    /// per-site fold of rebuilt sites, and the canonical finish.
-    pub fold_wall: Duration,
 }
 
 #[cfg(test)]

@@ -31,8 +31,10 @@
 //!    a deterministic rank-listed universe of sites.
 //! 2. [`Commander::run`](wmtree_crawler::Commander::run) — the
 //!    semi-parallel five-profile crawl (Table 1 profiles).
-//! 3. [`ExperimentData::from_db_parallel`](wmtree_analysis::ExperimentData::from_db_parallel)
-//!    — vetting + dependency-tree construction (§3.2).
+//!    A replay reads it back instead ([`Experiment::open_bundle`]).
+//! 3. [`Experiment::accumulate`] — vetting, dependency trees (§3.2) and
+//!    per-page analyses, folded per site (from an [`AnalysisCache`] if
+//!    given), then finished by [`ExperimentResults::from_merged`].
 //! 4. [`Report::generate`] — every table/figure of §4, §5, and the
 //!    appendices.
 

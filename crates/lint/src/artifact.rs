@@ -88,7 +88,7 @@ pub const ARTIFACT_CHECKS: &[(&str, &str, &str)] = &[
     (
         "WM0236",
         "shards-dense-ids",
-        "shard ids are dense (0..n, in rank order)",
+        "shard ids are dense (0..n, in rank order); each bundle dir is one plain name in the plan",
     ),
     (
         "WM0237",
@@ -475,97 +475,22 @@ pub fn check_shard_dir(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagno
     let at_plan = format!("{origin}:{}", wmtree_shard::SHARDS_FILE);
     let mut out = Vec::new();
 
-    // WM0236 — dense ids in rank order.
-    for (i, spec) in plan.shards.iter().enumerate() {
-        if spec.id != i {
-            out.push(Diagnostic::artifact(
-                Code("WM0236"),
-                Severity::Error,
-                format!("{at_plan}:shard[{i}]"),
-                format!(
-                    "shard ids must be dense 0..{}, found id {}",
-                    plan.shards.len(),
-                    spec.id
-                ),
-            ));
-        }
-    }
-
-    // WM0235 — windows partition the universe; rank ranges disjoint.
-    if plan.shards.is_empty() {
+    // WM0235 / WM0236 — the plan's own partition and layout rules.
+    for defect in plan.defects() {
+        let code = match defect.rule {
+            wmtree_shard::PlanRule::Coverage => "WM0235",
+            wmtree_shard::PlanRule::Layout => "WM0236",
+        };
+        let at = match defect.shard {
+            Some(i) => format!("{at_plan}:shard[{i}]"),
+            None => at_plan.clone(),
+        };
         out.push(Diagnostic::artifact(
-            Code("WM0235"),
+            Code(code),
             Severity::Error,
-            at_plan.clone(),
-            "plan has no shards",
+            at,
+            defect.detail,
         ));
-    } else {
-        let first = &plan.shards[0];
-        let last = plan.shards.last().expect("non-empty"); // wmtree-lint: allow(WM0105)
-        if first.site_lo != 0 {
-            out.push(Diagnostic::artifact(
-                Code("WM0235"),
-                Severity::Error,
-                format!("{at_plan}:shard[0]"),
-                format!("first shard starts at site {}, not 0", first.site_lo),
-            ));
-        }
-        if last.site_hi != plan.total_sites {
-            out.push(Diagnostic::artifact(
-                Code("WM0235"),
-                Severity::Error,
-                format!("{at_plan}:shard[{}]", plan.shards.len() - 1),
-                format!(
-                    "last shard ends at site {}, universe has {}",
-                    last.site_hi, plan.total_sites
-                ),
-            ));
-        }
-        for (i, spec) in plan.shards.iter().enumerate() {
-            if spec.site_lo >= spec.site_hi {
-                out.push(Diagnostic::artifact(
-                    Code("WM0235"),
-                    Severity::Error,
-                    format!("{at_plan}:shard[{i}]"),
-                    format!("empty site window [{}, {})", spec.site_lo, spec.site_hi),
-                ));
-            }
-            if spec.rank_lo > spec.rank_hi {
-                out.push(Diagnostic::artifact(
-                    Code("WM0235"),
-                    Severity::Error,
-                    format!("{at_plan}:shard[{i}]"),
-                    format!("inverted rank range [{}, {}]", spec.rank_lo, spec.rank_hi),
-                ));
-            }
-        }
-        for (i, w) in plan.shards.windows(2).enumerate() {
-            if w[0].site_hi != w[1].site_lo {
-                out.push(Diagnostic::artifact(
-                    Code("WM0235"),
-                    Severity::Error,
-                    format!("{at_plan}:shard[{}]", i + 1),
-                    format!(
-                        "site windows must be contiguous: shard {} ends at {}, shard {} starts at {}",
-                        i, w[0].site_hi, i + 1, w[1].site_lo
-                    ),
-                ));
-            }
-            if w[0].rank_hi >= w[1].rank_lo {
-                out.push(Diagnostic::artifact(
-                    Code("WM0235"),
-                    Severity::Error,
-                    format!("{at_plan}:shard[{}]", i + 1),
-                    format!(
-                        "rank ranges overlap: shard {} ends at rank {}, shard {} starts at rank {}",
-                        i,
-                        w[0].rank_hi,
-                        i + 1,
-                        w[1].rank_lo
-                    ),
-                ));
-            }
-        }
     }
 
     // WM0237 — recorded bundle hashes verify against the archives.

@@ -37,5 +37,5 @@ pub mod runner;
 
 pub use error::ShardError;
 pub use merge::{merge_shards, MergedRun};
-pub use plan::{ShardPlan, ShardSpec, SHARDS_FILE, SHARDS_VERSION};
+pub use plan::{PlanDefect, PlanRule, ShardPlan, ShardSpec, SHARDS_FILE, SHARDS_VERSION};
 pub use runner::{crawl_remaining_shards, crawl_shard, ShardCrawl};

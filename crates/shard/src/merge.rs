@@ -121,7 +121,7 @@ pub fn merge_shards(exp: &Experiment, plan_dir: &Path) -> Result<MergedRun, Shar
             peak = peak.max(db.page_count());
             peak_gauge.set(peak as i64);
             let cache = AnalysisCache::open(&dir.join(CACHE_DIR_NAME), exp.config());
-            exp.accumulate(&db, &cache).map_err(located)?
+            exp.accumulate(&db, Some(&cache)).map_err(located)?
         };
         gauge.set(0);
         sites_rebuilt += part.sites_rebuilt;

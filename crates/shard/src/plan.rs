@@ -9,7 +9,7 @@
 
 use crate::error::ShardError;
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 use wmtree::Experiment;
 
 /// File name of the shard manifest inside a shard directory.
@@ -44,6 +44,40 @@ impl ShardSpec {
     /// Number of sites in the window.
     pub fn sites(&self) -> usize {
         self.site_hi - self.site_lo
+    }
+}
+
+/// Which rule of a well-formed plan a [`PlanDefect`] breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanRule {
+    /// The shards partition the universe: non-empty, contiguous site
+    /// windows covering `[0, total_sites)`, with rank ranges in order
+    /// and disjoint.
+    Coverage,
+    /// Shard ids are dense (`0..n`, in rank order) and every bundle
+    /// directory is one plain name inside the plan directory.
+    Layout,
+}
+
+/// One way a plan fails to describe a partition of the universe into
+/// shard directories ([`ShardPlan::defects`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanDefect {
+    /// The broken rule.
+    pub rule: PlanRule,
+    /// Position of the offending entry in `shards`; `None` when the
+    /// defect is the plan's as a whole.
+    pub shard: Option<usize>,
+    /// What is wrong.
+    pub detail: String,
+}
+
+impl std::fmt::Display for PlanDefect {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.shard {
+            Some(i) => write!(f, "shard[{i}]: {}", self.detail),
+            None => f.write_str(&self.detail),
+        }
     }
 }
 
@@ -158,9 +192,12 @@ impl ShardPlan {
         Ok(plan_dir.join(&self.shard(id)?.dir))
     }
 
-    /// Check the plan was made for this experiment: same universe,
-    /// seeds, and profile roster. A shard bundle crawled under one
-    /// experiment must never be merged under another.
+    /// Check the plan was made for this experiment — same universe,
+    /// seeds, and profile roster; a shard bundle crawled under one
+    /// experiment must never be merged under another — and that it is
+    /// well-formed ([`defects`](ShardPlan::defects)), so no shard's
+    /// window or directory can leave sites out, underflow, or point
+    /// outside the plan directory.
     pub fn check_experiment(&self, exp: &Experiment) -> Result<(), ShardError> {
         let mismatch = |field: &str, planned: String, actual: String| {
             Err(ShardError::ConfigMismatch {
@@ -207,7 +244,124 @@ impl ShardPlan {
                 total.to_string(),
             );
         }
-        Ok(())
+        match self.defects().into_iter().next() {
+            Some(defect) => Err(ShardError::Plan {
+                detail: defect.to_string(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Every way the shards fail to partition `[0, total_sites)` into
+    /// plan-local bundle directories, in shard order within each rule:
+    /// dense ids, then coverage, then directories. Empty for any plan
+    /// [`ShardPlan::new`] makes.
+    pub fn defects(&self) -> Vec<PlanDefect> {
+        let mut out = Vec::new();
+        let mut defect = |rule, shard, detail| {
+            out.push(PlanDefect {
+                rule,
+                shard,
+                detail,
+            })
+        };
+        for (i, spec) in self.shards.iter().enumerate() {
+            if spec.id != i {
+                defect(
+                    PlanRule::Layout,
+                    Some(i),
+                    format!(
+                        "shard ids must be dense 0..{}, found id {}",
+                        self.shards.len(),
+                        spec.id
+                    ),
+                );
+            }
+        }
+
+        let (Some(first), Some(last)) = (self.shards.first(), self.shards.last()) else {
+            defect(PlanRule::Coverage, None, "plan has no shards".into());
+            return out;
+        };
+        if first.site_lo != 0 {
+            defect(
+                PlanRule::Coverage,
+                Some(0),
+                format!("first shard starts at site {}, not 0", first.site_lo),
+            );
+        }
+        if last.site_hi != self.total_sites {
+            defect(
+                PlanRule::Coverage,
+                Some(self.shards.len() - 1),
+                format!(
+                    "last shard ends at site {}, universe has {}",
+                    last.site_hi, self.total_sites
+                ),
+            );
+        }
+        for (i, spec) in self.shards.iter().enumerate() {
+            if spec.site_lo >= spec.site_hi {
+                defect(
+                    PlanRule::Coverage,
+                    Some(i),
+                    format!("empty site window [{}, {})", spec.site_lo, spec.site_hi),
+                );
+            }
+            if spec.rank_lo > spec.rank_hi {
+                defect(
+                    PlanRule::Coverage,
+                    Some(i),
+                    format!("inverted rank range [{}, {}]", spec.rank_lo, spec.rank_hi),
+                );
+            }
+        }
+        for (i, w) in self.shards.windows(2).enumerate() {
+            if w[0].site_hi != w[1].site_lo {
+                defect(
+                    PlanRule::Coverage,
+                    Some(i + 1),
+                    format!(
+                        "site windows must be contiguous: shard {} ends at {}, shard {} starts at {}",
+                        i,
+                        w[0].site_hi,
+                        i + 1,
+                        w[1].site_lo
+                    ),
+                );
+            }
+            if w[0].rank_hi >= w[1].rank_lo {
+                defect(
+                    PlanRule::Coverage,
+                    Some(i + 1),
+                    format!(
+                        "rank ranges overlap: shard {} ends at rank {}, shard {} starts at rank {}",
+                        i,
+                        w[0].rank_hi,
+                        i + 1,
+                        w[1].rank_lo
+                    ),
+                );
+            }
+        }
+
+        for (i, spec) in self.shards.iter().enumerate() {
+            let mut parts = Path::new(&spec.dir).components();
+            if !matches!(
+                (parts.next(), parts.next()),
+                (Some(Component::Normal(_)), None)
+            ) {
+                defect(
+                    PlanRule::Layout,
+                    Some(i),
+                    format!(
+                        "bundle dir {:?} is not one plain directory name inside the plan",
+                        spec.dir
+                    ),
+                );
+            }
+        }
+        out
     }
 
     /// Record the completed bundle's content hash for one shard:
@@ -298,6 +452,22 @@ mod tests {
             matches!(err, ShardError::ConfigMismatch { ref field, .. } if field == "universe_seed"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn bundle_dirs_must_be_one_plain_name() {
+        let plan = ShardPlan::new(&exp(), 4).expect("plan");
+        assert!(plan.defects().is_empty(), "{:?}", plan.defects());
+        let mut bad = plan.clone();
+        bad.shards[0].dir = "nested/shard".into();
+        bad.shards[1].dir = "../shard".into();
+        bad.shards[2].dir = std::env::temp_dir().to_string_lossy().into_owned();
+        bad.shards[3].dir = String::new();
+        let found: Vec<(PlanRule, Option<usize>)> =
+            bad.defects().iter().map(|d| (d.rule, d.shard)).collect();
+        let expected: Vec<(PlanRule, Option<usize>)> =
+            (0..4).map(|i| (PlanRule::Layout, Some(i))).collect();
+        assert_eq!(found, expected);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use crate::tree::{DepTree, NodeId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use wmtree_browser::VisitResult;
 use wmtree_bundle::error::BundleError;
@@ -108,12 +108,8 @@ struct CacheState {
     /// Hashes whose trees are durably in the tree log (loaded from a
     /// committed segment or appended this run). Site records may only
     /// reference these — a reference to a memory-only tree would
-    /// dangle after reopen. Survives memory-tier eviction.
+    /// dangle after reopen.
     disk: HashSet<u64>,
-    /// Insertion order of `trees` keys — FIFO eviction order.
-    order: VecDeque<u64>,
-    /// In-memory tree entry cap; `None` = unbounded.
-    mem_capacity: Option<usize>,
     /// site-delta hash → opaque payload line.
     sites: HashMap<u64, std::sync::Arc<str>>,
     /// Append handles; `None` for an in-memory cache or after a disk
@@ -153,8 +149,6 @@ impl TreeCache {
             state: Mutex::new(CacheState {
                 trees: HashMap::new(),
                 disk: HashSet::new(),
-                order: VecDeque::new(),
-                mem_capacity: None,
                 sites: HashMap::new(),
                 logs: None,
             }),
@@ -215,14 +209,11 @@ impl TreeCache {
         };
 
         let mut trees = HashMap::new();
-        let mut order = VecDeque::new();
         verify_and_truncate(dir, TREES_PREFIX, &tree_metas, |loc, payload| {
             let (hash, tree) = utf8(payload)
                 .and_then(decode_tree)
                 .map_err(|detail| loc.corrupt(detail))?;
-            if trees.insert(hash, tree).is_none() {
-                order.push_back(hash);
-            }
+            trees.insert(hash, tree);
             Ok(())
         })?;
 
@@ -247,8 +238,6 @@ impl TreeCache {
             state: Mutex::new(CacheState {
                 trees,
                 disk,
-                order,
-                mem_capacity: None,
                 sites,
                 logs,
             }),
@@ -273,15 +262,6 @@ impl TreeCache {
     /// Number of site records currently held in memory.
     pub fn site_count(&self) -> usize {
         self.state.lock().sites.len()
-    }
-
-    /// Cap the in-memory tree tier at `n` entries (FIFO eviction,
-    /// counted by `tree.cache.evict`). Disk records are append-only and
-    /// unaffected. `None` removes the cap.
-    pub fn set_mem_capacity(&self, n: Option<usize>) {
-        let mut state = self.state.lock();
-        state.mem_capacity = n;
-        evict_over_capacity(&mut state);
     }
 
     /// Look up the tree for a visit content hash. Counts
@@ -312,8 +292,6 @@ impl TreeCache {
             }
         }
         state.trees.insert(hash, tree.clone());
-        state.order.push_back(hash);
-        evict_over_capacity(&mut state);
     }
 
     /// Is this tree durably in the tree log (committed, or appended
@@ -355,7 +333,6 @@ impl TreeCache {
         let mut state = self.state.lock();
         state.trees.clear();
         state.disk.clear();
-        state.order.clear();
         state.sites.clear();
         if let Some(dir) = &self.dir {
             discard_dir(dir);
@@ -421,19 +398,6 @@ fn append_record(state: &mut CacheState, which: Log, payload: &[u8]) -> bool {
         return false;
     }
     true
-}
-
-fn evict_over_capacity(state: &mut CacheState) {
-    let Some(cap) = state.mem_capacity else {
-        return;
-    };
-    while state.trees.len() > cap {
-        let Some(oldest) = state.order.pop_front() else {
-            break;
-        };
-        state.trees.remove(&oldest);
-        wmtree_telemetry::counter!("tree.cache.evict").inc();
-    }
 }
 
 /// Remove a cache directory's manifest and segment files (targeted —
@@ -1209,20 +1173,6 @@ mod tests {
             !cache.is_tree_persisted(h),
             "no tree log, so site records must not reference it"
         );
-    }
-
-    #[test]
-    fn fifo_eviction_counts() {
-        let cache = TreeCache::in_memory(5);
-        cache.set_mem_capacity(Some(2));
-        let visits = sample_visits(3);
-        let hashes: Vec<u64> = visits.iter().map(|v| visit_hash(v).unwrap()).collect();
-        for (v, h) in visits.iter().zip(&hashes) {
-            cache.insert_tree(*h, &build_tree(v, None, &TreeConfig::default()));
-        }
-        assert_eq!(cache.tree_count(), 2);
-        assert!(cache.get_tree(hashes[0]).is_none(), "oldest evicted first");
-        assert!(cache.get_tree(hashes[2]).is_some());
     }
 
     #[test]

@@ -23,7 +23,10 @@ fn manifest_covers_the_pipeline_and_counters_are_deterministic() {
         .iter()
         .map(|s| s.name.as_str())
         .collect();
-    assert_eq!(stages, ["generate", "crawl", "build_trees", "analyze"]);
+    assert_eq!(
+        stages,
+        ["generate", "crawl", "build_trees", "analyze", "fold_sites"]
+    );
     // The repro binary appends `render`; here Report::generate feeds the
     // span store instead, which the manifest also records.
     let _ = Report::generate(&first);
