@@ -7,6 +7,7 @@
 //! query-value churn the paper's normalization step (§3.2) exists to
 //! neutralize.
 
+use std::fmt::Write as _;
 use wmtree_webgen::stable_hash;
 
 /// Per-visit identifier state.
@@ -46,16 +47,37 @@ impl VisitIds {
     }
 
     /// Materialize all placeholders in a URL template. Each call
-    /// consumes fresh cache-busters for `{cb}` occurrences.
-    pub fn materialize(&mut self, template: &str) -> String {
-        let mut out = template
-            .replace("{sid}", &self.sid)
-            .replace("{uid}", &self.uid);
-        while let Some(pos) = out.find("{cb}") {
-            self.cb_counter += 1;
-            let cb = stable_hash(self.cb_seed, &self.cb_counter.to_le_bytes()) & 0xffff_ffff;
-            out.replace_range(pos..pos + 4, &format!("{cb:08x}"));
+    /// consumes fresh cache-busters for `{cb}` occurrences, left to
+    /// right. A template without placeholders is returned as it is:
+    /// moved when passed by value, copied once when borrowed.
+    pub fn materialize(&mut self, template: impl AsRef<str> + Into<String>) -> String {
+        let text = template.as_ref();
+        if !text.contains('{') {
+            return template.into();
         }
+        let mut out = String::with_capacity(text.len() + 16);
+        let mut rest = text;
+        while let Some(open) = rest.find('{') {
+            out.push_str(&rest[..open]);
+            let tail = &rest[open..];
+            rest = if let Some(after) = tail.strip_prefix("{sid}") {
+                out.push_str(&self.sid);
+                after
+            } else if let Some(after) = tail.strip_prefix("{uid}") {
+                out.push_str(&self.uid);
+                after
+            } else if let Some(after) = tail.strip_prefix("{cb}") {
+                self.cb_counter += 1;
+                let cb = stable_hash(self.cb_seed, &self.cb_counter.to_le_bytes()) & 0xffff_ffff;
+                // Writing to a `String` cannot fail.
+                let _ = write!(out, "{cb:08x}");
+                after
+            } else {
+                out.push('{');
+                &tail[1..]
+            };
+        }
+        out.push_str(rest);
         out
     }
 }

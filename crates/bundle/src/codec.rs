@@ -146,6 +146,25 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    /// A length-prefixed UTF-8 string, borrowed from the input.
+    fn str(&mut self) -> Result<&'a str, CodecError> {
+        let n = self.length()?;
+        let start = self.pos;
+        let bytes = self.take(n)?;
+        std::str::from_utf8(bytes).map_err(|e| CodecError {
+            offset: start + e.valid_up_to(),
+            what: "invalid UTF-8 in a string",
+        })
+    }
+
+    /// A borrowed string behind an `Option` tag.
+    fn opt_str(&mut self) -> Result<Option<&'a str>, CodecError> {
+        match self.tag(2)? {
+            0 => Ok(None),
+            _ => self.str().map(Some),
+        }
+    }
+
     /// A one-byte enum tag below `variants`.
     fn tag(&mut self, variants: u8) -> Result<u8, CodecError> {
         let tag = self.byte()?;
@@ -214,16 +233,7 @@ impl Codec for String {
         encode_str(out, self);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<String, CodecError> {
-        let n = d.length()?;
-        let start = d.pos;
-        let bytes = d.take(n)?;
-        match std::str::from_utf8(bytes) {
-            Ok(s) => Ok(s.to_owned()),
-            Err(e) => Err(CodecError {
-                offset: start + e.valid_up_to(),
-                what: "invalid UTF-8 in a string",
-            }),
-        }
+        Ok(d.str()?.to_owned())
     }
 }
 
@@ -272,14 +282,15 @@ impl Codec for Url {
         encode_opt_str(out, self.fragment());
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Url, CodecError> {
-        Ok(Url::from_parts(
-            Codec::decode(d)?,
-            Codec::decode(d)?,
-            Codec::decode(d)?,
-            Codec::decode(d)?,
-            Codec::decode(d)?,
-            Codec::decode(d)?,
-        ))
+        // Components are borrowed from the input and copied once, into
+        // the URL's own buffer.
+        let scheme = d.str()?;
+        let host = d.str()?;
+        let port = Codec::decode(d)?;
+        let path = d.str()?;
+        let query = d.opt_str()?;
+        let fragment = d.opt_str()?;
+        Ok(Url::from_parts(scheme, host, port, path, query, fragment))
     }
 }
 

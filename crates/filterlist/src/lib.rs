@@ -151,12 +151,9 @@ impl FilterList {
     }
 }
 
-/// The request URL, serialized and lowercased in one buffer (the
-/// serialization already allocates; lowercasing reuses it).
+/// The request URL, lowercased into one new buffer.
 fn lowered_url(req: &RequestInfo<'_>) -> String {
-    let mut s = req.url.as_str();
-    s.make_ascii_lowercase();
-    s
+    req.url.as_str().to_ascii_lowercase()
 }
 
 /// The request host, lowercased only when needed — `Url::parse`

@@ -152,7 +152,7 @@ impl FilterRule {
         }
         let target = req.url.as_str();
         if self.options.match_case {
-            self.pattern.matches(&target, req.url.host())
+            self.pattern.matches(target, req.url.host())
         } else {
             self.pattern.matches(
                 &target.to_ascii_lowercase(),
@@ -174,7 +174,7 @@ impl FilterRule {
             return false;
         }
         if self.options.match_case {
-            self.pattern.matches(&req.url.as_str(), req.url.host())
+            self.pattern.matches(req.url.as_str(), req.url.host())
         } else {
             self.pattern.matches(lower_url, lower_host)
         }

@@ -55,11 +55,8 @@ impl TreeConfig {
         if self.normalize_urls {
             url.normalize_for_comparison()
         } else {
-            let mut s = url.as_str();
-            if let Some(i) = s.find('#') {
-                s.truncate(i);
-            }
-            s
+            let s = url.as_str();
+            s.split('#').next().unwrap_or(s).to_owned()
         }
     }
 }
@@ -202,7 +199,7 @@ mod tests {
         // latest entry (when that node exists).
         for req in &v.requests {
             if let Some(top) = req.call_stack.last() {
-                let key = normalize_url_str(&req.url.as_str());
+                let key = normalize_url_str(req.url.as_str());
                 let expect_parent = normalize_url_str(&top.url);
                 if let (Some(id), Some(_)) = (t.find(&key), t.find(&expect_parent)) {
                     let actual = t.parent_key(id).unwrap();

@@ -3,7 +3,10 @@
 //! This crate is the foundation of the `wmtree` workspace. It provides:
 //!
 //! * [`Url`] — a parsed absolute URL (scheme, host, port, path, query,
-//!   fragment) with strict-enough parsing for measurement data.
+//!   fragment) with strict-enough parsing for measurement data. A `Url`
+//!   stores its serialization once: [`Url::as_str`] borrows it (call
+//!   `.to_owned()` for an owned copy), the component accessors slice
+//!   it, and a clone is a single allocation.
 //! * [`Url::normalize_for_comparison`] — the IMC'23 paper's node-identity
 //!   normalization: query parameter *values* are dropped while parameter
 //!   *names* are kept (`foo.com/a.js?s_id=1234` → `foo.com/a.js?s_id=`),
@@ -39,12 +42,12 @@
 #![warn(missing_docs)]
 
 pub mod encoding;
-mod origin;
 mod parse;
+mod party;
 pub mod psl;
 
-pub use origin::{Origin, Party};
 pub use parse::{ParseError, Url};
+pub use party::Party;
 
 /// Normalize a raw URL string for cross-tree node comparison without
 /// constructing a full [`Url`].

@@ -8,6 +8,7 @@
 //! that exercise the matching algorithm (wildcard and exception rules
 //! included), which is what the algorithm's correctness depends on.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
@@ -128,11 +129,11 @@ fn suffix_set() -> &'static HashSet<&'static str> {
 
 /// Lowercase only when needed: hostnames are almost always already
 /// lowercase, so the common path borrows and allocates nothing.
-fn lower(s: &str) -> std::borrow::Cow<'_, str> {
+fn lower(s: &str) -> Cow<'_, str> {
     if s.bytes().any(|b| b.is_ascii_uppercase()) {
-        std::borrow::Cow::Owned(s.to_ascii_lowercase())
+        Cow::Owned(s.to_ascii_lowercase())
     } else {
-        std::borrow::Cow::Borrowed(s)
+        Cow::Borrowed(s)
     }
 }
 
@@ -141,11 +142,14 @@ fn is_ip_literal(host: &str) -> bool {
     if host.starts_with('[') || host.contains(':') {
         return true;
     }
-    let parts: Vec<&str> = host.split('.').collect();
-    parts.len() == 4
-        && parts
-            .iter()
-            .all(|p| !p.is_empty() && p.parse::<u8>().is_ok())
+    let mut parts = 0;
+    for part in host.split('.') {
+        parts += 1;
+        if parts > 4 || part.is_empty() || part.parse::<u8>().is_err() {
+            return false;
+        }
+    }
+    parts == 4
 }
 
 /// Is `candidate` (a dot-joined label sequence) a public suffix?
@@ -210,8 +214,22 @@ pub fn public_suffix(host: &str) -> String {
 /// assert_eq!(etld_plus_one("192.168.0.1"), "192.168.0.1");
 /// ```
 pub fn etld_plus_one(host: &str) -> String {
-    let host = lower(host);
-    etld_plus_one_lower(&host).to_string()
+    etld_plus_one_cow(host).into_owned()
+}
+
+/// [`etld_plus_one`] borrowed from `host` when `host` is already
+/// lowercase, as every parsed URL's host is: no allocation on that path.
+///
+/// ```
+/// use wmtree_url::psl::etld_plus_one_cow;
+/// assert_eq!(etld_plus_one_cow("cdn.example.com"), "example.com");
+/// assert_eq!(etld_plus_one_cow("CDN.Example.com"), "example.com");
+/// ```
+pub fn etld_plus_one_cow(host: &str) -> Cow<'_, str> {
+    match lower(host) {
+        Cow::Borrowed(host) => Cow::Borrowed(etld_plus_one_lower(host)),
+        Cow::Owned(host) => Cow::Owned(etld_plus_one_lower(&host).to_owned()),
+    }
 }
 
 /// [`etld_plus_one`] over an already-lowercased host, returning a

@@ -45,7 +45,7 @@ proptest! {
     fn roundtrip_is_fixed_point(raw in url_strategy()) {
         let u = Url::parse(&raw).unwrap();
         let s = u.as_str();
-        let u2 = Url::parse(&s).unwrap();
+        let u2 = Url::parse(s).unwrap();
         prop_assert_eq!(u, u2);
     }
 
@@ -113,13 +113,68 @@ proptest! {
         prop_assert_eq!(Party::classify(&a, &b), Party::classify(&b, &a));
     }
 
-    /// join() with an absolute path always lands on the base host.
+    /// `from_parts` stores its inputs as given: every accessor returns
+    /// exactly what went in, however unusual.
     #[test]
-    fn join_abs_path_keeps_host(raw in url_strategy(), seg in "[a-z]{1,8}") {
-        let base = Url::parse(&raw).unwrap();
-        let joined = base.join(&format!("/{seg}")).unwrap();
-        prop_assert_eq!(joined.host(), base.host());
-        let expected = format!("/{seg}");
-        prop_assert_eq!(joined.path(), expected.as_str());
+    fn from_parts_accessors_return_their_inputs(
+        scheme in "[a-zA-Z][a-zA-Z0-9+.-]{0,6}",
+        host in "[a-zA-Z0-9.:-]{0,12}",
+        port in prop::option::of(any::<u16>()),
+        path in "[a-zA-Z0-9/?#%=&._-]{0,16}",
+        query in prop::option::of("[a-zA-Z0-9/?#%=&._-]{0,12}"),
+        fragment in prop::option::of("[a-zA-Z0-9/?#%=&._-]{0,8}"),
+    ) {
+        let u = Url::from_parts(
+            &scheme,
+            &host,
+            port,
+            &path,
+            query.as_deref(),
+            fragment.as_deref(),
+        );
+        prop_assert_eq!(u.scheme(), scheme.as_str());
+        prop_assert_eq!(u.host(), host.as_str());
+        prop_assert_eq!(u.port(), port);
+        prop_assert_eq!(u.path(), path.as_str());
+        prop_assert_eq!(u.query(), query.as_deref());
+        prop_assert_eq!(u.fragment(), fragment.as_deref());
+        prop_assert_eq!(u.as_str(), concatenation(&u));
+        prop_assert_eq!(u.clone(), u);
     }
+
+    /// The stored serialization is the components' concatenation, and
+    /// `Display` prints exactly it.
+    #[test]
+    fn as_str_is_the_concatenation(raw in url_strategy(), frag in prop::option::of("[a-z0-9]{0,6}")) {
+        let raw = match frag {
+            Some(f) => format!("{raw}#{f}"),
+            None => raw,
+        };
+        let u = Url::parse(&raw).unwrap();
+        prop_assert_eq!(u.as_str(), concatenation(&u));
+        prop_assert_eq!(u.to_string(), u.as_str());
+    }
+}
+
+/// The serialization as the six-field representation assembled it: a
+/// test-local copy of that concatenation.
+fn concatenation(u: &Url) -> String {
+    let mut out = String::new();
+    out.push_str(u.scheme());
+    out.push_str("://");
+    out.push_str(u.host());
+    if let Some(p) = u.port() {
+        out.push(':');
+        out.push_str(&p.to_string());
+    }
+    out.push_str(u.path());
+    if let Some(q) = u.query() {
+        out.push('?');
+        out.push_str(q);
+    }
+    if let Some(f) = u.fragment() {
+        out.push('#');
+        out.push_str(f);
+    }
+    out
 }

@@ -145,6 +145,19 @@ impl Content {
         }
     }
 
+    /// [`embeds`](Self::embeds) by value, for a consumer that owns the
+    /// reply and moves the embeds' URLs on.
+    pub fn into_embeds(self) -> Vec<Embed> {
+        match self {
+            Content::Document { embeds, .. } => embeds,
+            Content::Script { actions, .. } => actions,
+            Content::Stylesheet { loads } => loads,
+            Content::Api { follow_ups, .. } => follow_ups,
+            Content::WebSocket { pushes } => pushes,
+            Content::Redirect { .. } | Content::Leaf { .. } => Vec::new(),
+        }
+    }
+
     /// The child embeds this content can trigger (unconditioned view,
     /// used by tests and by tooling that inventories the universe).
     pub fn embeds(&self) -> &[Embed] {

@@ -4,16 +4,56 @@
 /// FNV-1a + avalanche hash of a byte string with a seed. Stable across
 //  runs and platforms (unlike `DefaultHasher`).
 pub fn stable_hash(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+    let mut h = StableHasher::new(seed);
+    h.write(bytes);
+    h.finish()
+}
+
+/// [`stable_hash`] fed piece by piece: hashing the pieces of a key in
+/// order gives the hash of their concatenation, without building it.
+///
+/// ```
+/// use std::fmt::Write;
+/// use wmtree_webgen::{stable_hash, StableHasher};
+/// let mut h = StableHasher::new(7);
+/// h.write(b"cond:");
+/// write!(h, "{}", 12).unwrap();
+/// assert_eq!(h.finish(), stable_hash(7, b"cond:12"));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct StableHasher(u64);
+
+impl StableHasher {
+    /// Start a hash under `seed`.
+    pub fn new(seed: u64) -> StableHasher {
+        StableHasher(0xcbf2_9ce4_8422_2325 ^ seed)
     }
-    // splitmix64 finalizer for avalanche.
-    let mut z = h;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+
+    /// Feed the next piece of the key.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(self) -> u64 {
+        // splitmix64 finalizer for avalanche.
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// Formatting into the hasher feeds the formatted text, so numbers and
+/// other `Display` pieces join a key without an allocation.
+impl std::fmt::Write for StableHasher {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Hierarchical seed derivation: `SeedMixer::new(seed).with("site").with(domain).finish()`.
@@ -58,12 +98,28 @@ pub fn chance(hash: u64, p: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn stable_and_distinct() {
         assert_eq!(stable_hash(1, b"a"), stable_hash(1, b"a"));
         assert_ne!(stable_hash(1, b"a"), stable_hash(2, b"a"));
         assert_ne!(stable_hash(1, b"a"), stable_hash(1, b"b"));
+    }
+
+    proptest! {
+        /// Hashing a key's pieces in order equals hashing the key.
+        #[test]
+        fn pieces_hash_as_their_concatenation(
+            seed in any::<u64>(),
+            pieces in prop::collection::vec("[a-z0-9:{}/]{0,12}", 0..6),
+        ) {
+            let mut h = StableHasher::new(seed);
+            for p in &pieces {
+                h.write(p.as_bytes());
+            }
+            prop_assert_eq!(h.finish(), stable_hash(seed, pieces.concat().as_bytes()));
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! so this file owns its process.
 
 use wmtree::telemetry::MetricValue;
-use wmtree::{Experiment, ExperimentConfig, Report, Scale};
+use wmtree::{Experiment, ExperimentConfig, ExperimentResults, Report, Scale};
 
 #[test]
 fn manifest_covers_the_pipeline_and_counters_are_deterministic() {
@@ -63,11 +63,10 @@ fn manifest_covers_the_pipeline_and_counters_are_deterministic() {
         .expect("crawl progress recorded");
     assert_eq!(progress.sites_total, progress.sites_done);
     assert!(progress.visits_ok > 0);
-    let visits = match first.manifest.metrics.metrics.get("browser.visit.started") {
-        Some(MetricValue::Counter(n)) => *n,
-        other => panic!("browser.visit.started missing: {other:?}"),
-    };
-    assert_eq!(visits, progress.visits_ok + progress.visits_failed);
+    assert_eq!(
+        counter(&first, "browser.visit.started"),
+        progress.visits_ok + progress.visits_failed
+    );
 
     // --- Determinism: identical seeds → identical metric snapshots
     // (counters, gauges, histograms — wall-clock timings excluded by
@@ -77,6 +76,20 @@ fn manifest_covers_the_pipeline_and_counters_are_deterministic() {
         "metric snapshots of identical-seed runs must be identical"
     );
 
+    // --- Visit outcomes: the engine's own counters agree with the
+    // crawl's accounting. The default Tiny run (the one `repro --scale
+    // tiny` makes) has main-document fetch failures among its failed
+    // visits; the seeded run above has none. ---
+    let default_run = Experiment::new(ExperimentConfig::at_scale(Scale::Tiny)).run();
+    for results in [&first, &default_run] {
+        let progress = results.manifest.progress.as_ref().expect("progress");
+        assert_eq!(counter(results, "browser.visit.ok"), progress.visits_ok);
+        assert_eq!(
+            counter(results, "browser.visit.failed"),
+            progress.visits_failed
+        );
+    }
+
     // --- The manifest serializes and summarizes. ---
     let json = first.manifest.to_json();
     assert!(json.contains("\"schema_version\""));
@@ -84,4 +97,12 @@ fn manifest_covers_the_pipeline_and_counters_are_deterministic() {
     let summary = Report::render_telemetry(&first.manifest);
     assert!(summary.contains("== Telemetry"));
     assert!(summary.contains("crawl"));
+}
+
+/// The value of counter `name` in a run's metric snapshot.
+fn counter(results: &ExperimentResults, name: &str) -> u64 {
+    match results.manifest.metrics.metrics.get(name) {
+        Some(MetricValue::Counter(n)) => *n,
+        other => panic!("{name} missing: {other:?}"),
+    }
 }
